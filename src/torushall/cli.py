@@ -3,8 +3,10 @@
 Subcommands: validate, invariants, theta-eval, wf-eval, heisenberg,
 gram-center, gram-manybody, verify-all.  Input documents follow the
 canonical schema of :mod:`torushall.serialize`; all numeric output is
-deterministic for a fixed configuration and seed.  Exit status: 0 when
-every reported check passes, 1 when any check fails, 2 on input errors.
+deterministic for a fixed configuration and seed.  Every check record is
+built by :mod:`torushall.checks`.  Exit status: 0 when every reported check
+passes, 1 when any check fails, 2 on input errors and on quadrature sizes
+over the sampling budget.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _emit(args, payload: dict, human: str) -> None:
 
 
 def _finish_checks(args, command: str, records: list[dict]) -> int:
-    ok = all(c["verdict"] == "PASS" for c in records)
+    ok = checks.passed(records)
     payload = {"command": command, "checks": records, "all_pass": ok}
     _emit(args, payload, render_checks_human(records))
     return 0 if ok else 1
@@ -252,7 +254,7 @@ def _gram_payload(report: gram.GramReport) -> dict:
     }
 
 
-def _gram_human(report: gram.GramReport, checks_: list[dict]) -> str:
+def _finish_gram(args, command: str, report: gram.GramReport, records: list[dict]) -> int:
     lines = [
         f"scheme = {report.scheme}, points = {report.total_points}"
         + (f", seed = {report.seed}" if report.seed is not None else ""),
@@ -262,8 +264,10 @@ def _gram_human(report: gram.GramReport, checks_: list[dict]) -> str:
         lines.append(
             "row %d: " % i + "  ".join(f"{x.real:+.9e}{x.imag:+.9e}j" for x in row)
         )
-    lines.append(render_checks_human(checks_))
-    return "\n".join(lines)
+    lines.append(render_checks_human(records))
+    payload = {"command": command, "checks": records, **_gram_payload(report)}
+    _emit(args, payload, "\n".join(lines))
+    return 0 if checks.passed(records) else 1
 
 
 def cmd_gram_center(args) -> int:
@@ -271,25 +275,8 @@ def cmd_gram_center(args) -> int:
     K, _datum, tau, xi = _resolve(doc)
     quad = gram.QuadratureSpec(points_per_axis=args.points, seed=args.seed)
     report = gram.gram_center(K, xi, tau, quad)
-    records = [
-        {
-            "name": "gram.center_orthogonal",
-            "law": "distinct basis thetas are orthogonal",
-            "measured": report.offdiag_ratio,
-            "threshold": args.tol_gram,
-            "verdict": "PASS" if report.offdiag_ratio < args.tol_gram else "FAIL",
-        },
-        {
-            "name": "gram.center_kappa",
-            "law": "diagonal equals the closed-form Gaussian norm",
-            "measured": report.kappa_rel_err,
-            "threshold": 1e-6,
-            "verdict": "PASS" if report.kappa_rel_err < 1e-6 else "FAIL",
-        },
-    ]
-    payload = {"command": "gram-center", "checks": records, **_gram_payload(report)}
-    _emit(args, payload, _gram_human(report, records))
-    return 0 if all(c["verdict"] == "PASS" for c in records) else 1
+    records = checks.gram_center_records(report, args.tol_gram)
+    return _finish_gram(args, "gram-center", report, records)
 
 
 def cmd_gram_manybody(args) -> int:
@@ -303,20 +290,9 @@ def cmd_gram_manybody(args) -> int:
         seed=args.seed,
     )
     report = gram.gram_manybody(spec, quad, tol=args.tol)
-    records = []
-    if report.scalar_pass is not None:
-        records.append(
-            {
-                "name": "gram.manybody_scalar",
-                "law": "Gram matrix of the many-body basis is scalar",
-                "measured": max(report.offdiag_ratio, report.diag_spread),
-                "threshold": 0.02,
-                "verdict": "PASS" if report.scalar_pass else "FAIL",
-            }
-        )
-    payload = {"command": "gram-manybody", "checks": records, **_gram_payload(report)}
-    _emit(args, payload, _gram_human(report, records))
-    return 0 if all(c["verdict"] == "PASS" for c in records) else 1
+    # non-primary matrices get no verdict
+    records = [] if report.scalar_pass is None else checks.gram_manybody_records(report)
+    return _finish_gram(args, "gram-manybody", report, records)
 
 
 def cmd_verify_all(args) -> int:
@@ -367,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram-center", help="center-of-mass Gram matrix")
     common(p)
-    p.add_argument("--tol-gram", type=float, default=1e-8, help="orthogonality threshold")
+    p.add_argument(
+        "--tol-gram", type=float, help="orthogonality threshold (default: the check's own)"
+    )
 
     p = sub.add_parser("gram-manybody", help="many-body Gram matrix")
     common(p)
@@ -398,6 +376,7 @@ def main(argv=None) -> int:
         SchemaError,
         wen.WenValidationError,
         NonconvergentModulusError,
+        gram.SamplingBudgetExceededError,
         FileNotFoundError,
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

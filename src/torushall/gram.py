@@ -431,7 +431,7 @@ def _manybody_values(
 def gram_manybody(
     spec: WaveFunctionSpec,
     quad: QuadratureSpec | None = None,
-    rel_tol: float = 0.02,
+    rel_tol: float | None = None,
     tol: float = DEFAULT_TOL,
 ) -> GramReport:
     """Gram matrix of the many-body basis under the product metric.
@@ -439,7 +439,9 @@ def gram_manybody(
     Tensor Gauss-Legendre is used when the 2n-dimensional grid fits the
     budget, otherwise replicated scrambled Sobol sampling; QMC reports
     replicate-mean standard errors and sigma-normalized scalarness checks.
-    The PASS/FAIL verdict is only asserted for primary matrices; for others
+    The verdict ``scalar_pass`` comes from the many-body records of
+    :mod:`torushall.checks`, with ``rel_tol`` (default: the table's) bounding
+    the relative deviation; it is only set for primary matrices, for others
     the deviations are reported without a verdict.
     """
     quad = quad or QuadratureSpec()
@@ -484,12 +486,22 @@ def gram_manybody(
             kappa_rel_err=None,
             hermiticity=herm,
         )
-        if spec.datum.matrix.primary:
-            report.scalar_pass = offratio < rel_tol and spread < rel_tol
-        return report
-
-    if scheme != "qmc":
+    elif scheme == "qmc":
+        report = _gram_manybody_qmc(spec, quad, basis, tol)
+    else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if spec.datum.matrix.primary:
+        from .checks import gram_manybody_records, passed  # checks imports this module
+
+        report.scalar_pass = passed(gram_manybody_records(report, rel_tol))
+    return report
+
+
+def _gram_manybody_qmc(
+    spec: WaveFunctionSpec, quad: QuadratureSpec, basis: Sequence[PiElement], tol: float
+) -> GramReport:
+    d = len(basis)
+    dim = 2 * spec.datum.n
     reps = quad.replicates
     per_rep = 1 << max(1, math.ceil(math.log2(max(2, quad.samples // reps))))
     if per_rep * reps > quad.budget:
@@ -510,25 +522,22 @@ def gram_manybody(
     stderr = np.sqrt(se_re**2 + se_im**2)
     mean_diag, offratio, spread, herm = _report_stats(gmat)
 
-    offdiag_sigmas = 0.0
-    diag_pair_sigmas = 0.0
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            offdiag_sigmas = max(
-                offdiag_sigmas,
-                abs(gmat[i, j].real) / max(se_re[i, j], 1e-300),
-                abs(gmat[i, j].imag) / max(se_im[i, j], 1e-300),
-            )
-    for i in range(d):
-        for j in range(i + 1, d):
-            diffs = stack[:, i, i].real - stack[:, j, j].real
-            se = np.std(diffs, ddof=1) / math.sqrt(reps)
-            diag_pair_sigmas = max(
-                diag_pair_sigmas, abs(float(np.mean(diffs))) / max(se, 1e-300)
-            )
-    report = GramReport(
+    # numpy maxima, so that a NaN estimate gives a NaN statistic, not 0
+    off = ~np.eye(d, dtype=bool)
+    offdiag_sigmas = np.max(
+        np.maximum(
+            np.abs(gmat.real) / np.maximum(se_re, 1e-300),
+            np.abs(gmat.imag) / np.maximum(se_im, 1e-300),
+        )[off],
+        initial=0.0,
+    )
+    i, j = np.triu_indices(d, 1)
+    diffs = np.ascontiguousarray((stack[:, i, i].real - stack[:, j, j].real).T)
+    se = np.std(diffs, axis=1, ddof=1) / math.sqrt(reps)
+    diag_pair_sigmas = np.max(
+        np.abs(np.mean(diffs, axis=1)) / np.maximum(se, 1e-300), initial=0.0
+    )
+    return GramReport(
         matrix=gmat,
         stderr=stderr,
         basis_labels=_labels(basis),
@@ -540,10 +549,6 @@ def gram_manybody(
         diag_spread=spread,
         kappa_rel_err=None,
         hermiticity=herm,
-        offdiag_sigmas=offdiag_sigmas if d > 1 else 0.0,
-        diag_pair_sigmas=diag_pair_sigmas if d > 1 else 0.0,
+        offdiag_sigmas=float(offdiag_sigmas),
+        diag_pair_sigmas=float(diag_pair_sigmas),
     )
-    if spec.datum.matrix.primary:
-        sigma_ok = (d == 1) or (offdiag_sigmas < 3.0 and diag_pair_sigmas < 3.0)
-        report.scalar_pass = sigma_ok and offratio < rel_tol and spread < rel_tol
-    return report

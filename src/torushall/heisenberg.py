@@ -142,19 +142,33 @@ class RepMatrices:
         return gcd(self.q_exponent % self.delta, self.delta) == 1
 
     def verify_relations(self) -> None:
-        """Exact exponent-arithmetic check of the translation relations."""
+        """Exact exponent-arithmetic check of the translation relations, O(delta).
+
+        T1^delta = 1 holds when every T1 exponent is an integer in range(delta);
+        T2^delta = 1 when T2 is a permutation whose cycle lengths divide delta.
+        """
         d = self.delta
-        if any((d * e) % d for e in self.t1_exponents):
-            raise AssertionError("T1^delta != identity")
-        perm = list(range(d))
-        for _ in range(d):
-            perm = [self.t2_permutation[i] for i in perm]
-        if perm != list(range(d)):
-            raise AssertionError("T2^delta != identity")
+        t1 = self.t1_exponents
+        if len(t1) != d or any(not isinstance(e, int) or not 0 <= e < d for e in t1):
+            raise AssertionError("T1^delta != identity: exponents must be integers mod delta")
+        perm = self.t2_permutation
+        if len(perm) != d or any(not 0 <= j < d for j in perm):
+            raise AssertionError("T2 is not a permutation of the delta basis slots")
+        seen = [False] * d
+        for start in range(d):
+            if seen[start]:
+                continue
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+                length += 1
+            if i != start:
+                raise AssertionError("T2 is not a permutation of the delta basis slots")
+            if d % length:
+                raise AssertionError(f"T2^delta != identity: a cycle of length {length}")
         for i in range(d):
-            lhs = self.t1_exponents[self.t2_permutation[i]]
-            rhs = (self.q_exponent + self.t1_exponents[i]) % d
-            if lhs != rhs:
+            if t1[perm[i]] != (self.q_exponent + t1[i]) % d:
                 raise AssertionError("T1 T2 != q T2 T1")
 
 
@@ -163,7 +177,8 @@ def rep_matrices(datum: WenDatum, ordering: str = "auto") -> RepMatrices:
 
     ordering='cyclic' lists the basis along powers of u (requires a primary
     matrix), 'group' uses the lexicographic coset order, and 'auto' picks
-    cyclic when available.
+    cyclic when available.  The relations are checked by
+    ``RepMatrices.verify_relations``, not here.
     """
     K = datum.matrix
     u = K.u_class()
@@ -185,15 +200,13 @@ def rep_matrices(datum: WenDatum, ordering: str = "auto") -> RepMatrices:
         raise AssertionError("pairing of u with itself must equal rho mod delta")
     t1 = tuple(upsilon_exponent(u, c, K) for c in basis)
     t2 = tuple(index[pi_add(c, u)] for c in basis)
-    rep = RepMatrices(
+    return RepMatrices(
         delta=K.delta,
         q_exponent=q_exp,
         t1_exponents=t1,
         t2_permutation=t2,
         basis=basis,
     )
-    rep.verify_relations()
-    return rep
 
 
 def standard_representation(

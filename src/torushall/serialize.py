@@ -117,16 +117,6 @@ def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2)
 
 
-def check_record(name: str, law: str, measured: float, threshold: float, passed: bool) -> dict:
-    return {
-        "name": name,
-        "law": law,
-        "measured": float(measured),
-        "threshold": float(threshold),
-        "verdict": "PASS" if passed else "FAIL",
-    }
-
-
 def render_checks_human(checks: list[dict]) -> str:
     lines = []
     for c in checks:

@@ -211,19 +211,6 @@ def kvw_wavefunction(
     )
 
 
-def kvw_batch(
-    spec: WaveFunctionSpec,
-    c: PiElement,
-    layers: Sequence[np.ndarray],
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Phi_c at a batch of configurations given as per-layer (M, n_k) arrays."""
-    w = np.stack([layer.sum(axis=1) for layer in layers], axis=-1)
-    return center_basis_batch(spec, c, w, tol) * jastrow_batch(
-        spec.datum, spec.torus, layers, tol
-    )
-
-
 def hr_wavefunction(
     m: int,
     n: int,

@@ -380,11 +380,6 @@ def jain_matrix(p: int, g: int) -> WenMatrix:
     return validate_wen_matrix(mat)
 
 
-def adjugate(K: WenMatrix) -> IntMatrix:
-    """The cached adjugate, satisfying K @ adjugate = delta * I exactly."""
-    return K.adjugate
-
-
 def validate_wen_datum(K: WenMatrix, n_vec: Sequence[int]) -> WenDatum:
     """Check K n = d e for a positive integer d and build the datum."""
     nv = tuple(int(x) for x in n_vec)

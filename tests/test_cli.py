@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from torushall.checks import LAWS
 from torushall.cli import main
 from torushall.serialize import (
     SchemaError,
@@ -19,6 +20,15 @@ from torushall.serialize import (
 def k22_doc(tmp_path):
     path = tmp_path / "k22.json"
     path.write_text(json.dumps({"K": [[3, 2], [2, 3]], "n": [1, 1], "tau": [0.0, 1.0]}))
+    return str(path)
+
+
+@pytest.fixture
+def readme_doc(tmp_path):
+    path = tmp_path / "readme.json"
+    path.write_text(
+        json.dumps({"K": [[3, 2], [2, 3]], "n": [1, 1], "tau": [0, 1], "xi": [[0.1, 0.2], [0, 0]]})
+    )
     return str(path)
 
 
@@ -179,3 +189,68 @@ class TestCli:
         assert "gram.center_kappa" in out
         assert "magnetic.t2_shift" in out
         assert "bundle.dual_pairing" in out
+
+    def test_sampling_budget_exit_two(self, readme_doc, capsys):
+        # 64^4 points times 5 basis functions exceeds the default budget
+        assert main(["gram-center", "--input", readme_doc, "--points", "64"]) == 2
+        captured = capsys.readouterr()
+        assert "SamplingBudgetExceededError" in captured.err
+        assert captured.out == ""
+
+    def test_gram_manybody_sigma_failure_is_json(self, readme_doc, capsys):
+        args = ["gram-manybody", "--input", readme_doc, "--scheme", "qmc", "--samples", "16384"]
+        assert main(args + ["--seed", "0", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["scalar_pass"] is False
+        verdicts = [(c["name"], c["threshold"], c["verdict"]) for c in payload["checks"]]
+        assert verdicts == [
+            ("gram.manybody_scalar", 0.02, "PASS"),
+            ("gram.manybody_sigma", 3.0, "FAIL"),
+        ]
+        assert all(c["name"] in LAWS for c in payload["checks"])
+
+
+VERIFY_ALL_RECORDS = [
+    ("theta.shift_one", 1e-11),
+    ("theta.shift_tau", 1e-11),
+    ("theta.odd_zero", 1e-12),
+    ("theta.oddness", 1e-12),
+    ("mtheta.shift_lattice", 1e-10),
+    ("mtheta.shift_omega", 1e-10),
+    ("mtheta.diag_factor", 1e-11),
+    ("wen.family_invariants", 0.5),
+    ("wen.adjugate_entries", 0.5),
+    ("wen.group_order", 0.5),
+    ("heisenberg.relations", 0.5),
+    ("heisenberg.unitarity", 1e-14),
+    ("heisenberg.primitivity", 0.5),
+    ("heisenberg.character_norm", 1e-10),
+    ("gram.center_orthogonal", 1e-8),
+    ("gram.center_scalar", 1e-8),
+    ("gram.center_kappa", 1e-6),
+    ("wavefn.shift_one", 1e-9),
+    ("wavefn.shift_tau", 1e-9),
+    ("magnetic.t1_eigenvalue", 1e-9),
+    ("magnetic.t2_shift", 1e-9),
+    ("bundle.slope_exact", 0.5),
+    ("bundle.dual_pairing", 1e-12),
+]
+
+
+class TestReadmeRecords:
+    """The records verify-readme counts as its work: names, order and thresholds."""
+
+    def _records(self, command, doc, capsys):
+        assert main([command, "--input", doc, "--format", "json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert all(c["name"] in LAWS and c["verdict"] == "PASS" for c in checks)
+        return [(c["name"], c["threshold"]) for c in checks]
+
+    def test_verify_all(self, readme_doc, capsys):
+        assert self._records("verify-all", readme_doc, capsys) == VERIFY_ALL_RECORDS
+
+    def test_gram_center(self, readme_doc, capsys):
+        assert self._records("gram-center", readme_doc, capsys) == [
+            ("gram.center_orthogonal", 1e-8),
+            ("gram.center_kappa", 1e-6),
+        ]

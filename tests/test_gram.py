@@ -279,6 +279,29 @@ class TestGramManybody:
         with pytest.raises(SamplingBudgetExceededError):
             gram_manybody(spec, QuadratureSpec(scheme="qmc", samples=1 << 30, budget=1 << 20))
 
+    def test_nan_values_fail_every_record(self, monkeypatch):
+        # one NaN value per sample must not leave a statistic that reads as a pass
+        from torushall import checks, gram
+
+        original = gram._manybody_values
+
+        def with_nan(spec, pts, basis, tol):
+            weight, values = original(spec, pts, basis, tol)
+            values[1, 0] = np.nan
+            return weight, values
+
+        monkeypatch.setattr(gram, "_manybody_values", with_nan)
+        K = validate_wen_matrix([[3]])
+        spec = WaveFunctionSpec(
+            datum=validate_wen_datum(K, (1,)), xi=(0j,), torus=TorusParams(1j)
+        )
+        quad = QuadratureSpec(scheme="qmc", samples=1 << 10, replicates=4)
+        report = gram_manybody(spec, quad)
+        assert np.isnan(report.offdiag_sigmas) and np.isnan(report.diag_pair_sigmas)
+        assert report.scalar_pass is False
+        verdicts = [r["verdict"] for r in checks.gram_manybody_records(report)]
+        assert verdicts == ["FAIL", "FAIL"]
+
     def test_two_layer_scalar(self):
         # three-dimensional basis over a 4-dimensional sample space
         K = jain_matrix(1, 2)

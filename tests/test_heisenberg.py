@@ -7,6 +7,7 @@ from conftest import random_wen_matrix
 from torushall.heisenberg import (
     HeisenbergElement,
     NonCyclicBasisOrderError,
+    RepMatrices,
     character_norm,
     identity_element,
     inverse,
@@ -198,6 +199,49 @@ class TestRepMatrices:
         datum = validate_wen_datum(K, (1, 1))
         with pytest.raises(NonCyclicBasisOrderError):
             rep_matrices(datum, ordering="cyclic")
+
+
+class TestVerifyRelations:
+    """Hand-built representations that break one relation are each rejected."""
+
+    @staticmethod
+    def _rep(delta, q, t1, t2):
+        basis = tuple((Fraction(i, delta),) for i in range(delta))
+        return RepMatrices(
+            delta=delta, q_exponent=q, t1_exponents=t1, t2_permutation=t2, basis=basis
+        )
+
+    def test_valid_cycle_accepted(self):
+        self._rep(3, 1, (0, 1, 2), (1, 2, 0)).verify_relations()
+
+    def test_three_cycle_at_delta_four_rejected(self):
+        # q = 0 and constant T1 satisfy T1 T2 = q T2 T1; only T2^4 != 1 fails
+        rep = self._rep(4, 0, (0, 0, 0, 0), (1, 2, 0, 3))
+        with pytest.raises(AssertionError, match="T2\\^delta"):
+            rep.verify_relations()
+
+    def test_non_permutation_rejected(self):
+        with pytest.raises(AssertionError, match="permutation"):
+            self._rep(3, 0, (0, 0, 0), (1, 1, 0)).verify_relations()
+
+    @pytest.mark.parametrize("t1", [(0, 1, 5), (0, 1, 2.0), (0, 1, -1)])
+    def test_t1_exponent_outside_range_rejected(self, t1):
+        with pytest.raises(AssertionError, match="T1\\^delta"):
+            self._rep(3, 1, t1, (1, 2, 0)).verify_relations()
+
+    def test_broken_q_relation_rejected(self):
+        with pytest.raises(AssertionError, match="T1 T2 != q T2 T1"):
+            self._rep(3, 2, (0, 1, 2), (1, 2, 0)).verify_relations()
+
+    def test_check_reports_fail_instead_of_raising(self, monkeypatch):
+        from torushall import checks, heisenberg
+
+        datum = validate_wen_datum(validate_wen_matrix([[4]]), (1,))
+        broken = self._rep(4, 1, (0, 1, 2, 3), (1, 2, 0, 3))
+        monkeypatch.setattr(heisenberg, "rep_matrices", lambda datum: broken)
+        verdicts = {r["name"]: r["verdict"] for r in checks.check_heisenberg(datum)}
+        assert verdicts["heisenberg.relations"] == "FAIL"
+        assert verdicts["heisenberg.unitarity"] == "PASS"
 
 
 class TestCharacterNorm:
