@@ -118,9 +118,16 @@ def _residual(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def check_theta_laws(seed: int = 0, samples: int = 100, tol: float = 1e-12) -> list[dict]:
+def check_theta_laws(
+    seed: int = 0, samples: int = 100, tol: float = 1e-12, zero_at_samples: bool = False
+) -> list[dict]:
+    """Quasi-periodicity and oddness at ``samples`` random (tau, z, a, b).
+
+    theta_odd(0) = 0 is taken at 10 further random tau and, with
+    ``zero_at_samples``, also at every sampled tau.
+    """
     rng = np.random.default_rng(seed)
-    worst_shift1 = worst_shift_tau = worst_odd = 0.0
+    worst_shift1 = worst_shift_tau = worst_odd = zero = 0.0
     for _ in range(samples):
         tau = TorusParams(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)))
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
@@ -132,8 +139,10 @@ def check_theta_laws(seed: int = 0, samples: int = 100, tol: float = 1e-12) -> l
         fac = np.exp(-2j * np.pi * (z + b) - 1j * np.pi * tau.tau)
         worst_shift_tau = _worst(worst_shift_tau, _residual(lhs2, fac * base))
         worst_odd = _worst(worst_odd, abs(theta_odd(z, tau, tol) + theta_odd(-z, tau, tol)))
+        if zero_at_samples:
+            zero = _worst(zero, abs(theta_odd(0.0, tau, tol)))
     taus = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)) for _ in range(10)]
-    zero = _worst(*(abs(theta_odd(0.0, TorusParams(t), tol)) for t in taus))
+    zero = _worst(zero, *(abs(theta_odd(0.0, TorusParams(t), tol)) for t in taus))
     return [
         record("theta.shift_one", worst_shift1),
         record("theta.shift_tau", worst_shift_tau),

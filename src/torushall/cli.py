@@ -207,6 +207,7 @@ def cmd_heisenberg(args) -> int:
     doc = _document(args)
     _K, datum, _tau, _xi = _resolve(doc)
     rep = heisenberg.rep_matrices(datum)
+    rep.verify_relations()
     lines = [
         f"dimension = {rep.delta}, q = zeta^{rep.q_exponent} with zeta = exp(2 pi i/{rep.delta})",
         f"q primitive: {rep.q_is_primitive()}",
@@ -291,8 +292,7 @@ def cmd_gram_manybody(args) -> int:
     )
     report = gram.gram_manybody(spec, quad, tol=args.tol)
     # non-primary matrices get no verdict
-    records = [] if report.scalar_pass is None else checks.gram_manybody_records(report)
-    return _finish_gram(args, "gram-manybody", report, records)
+    return _finish_gram(args, "gram-manybody", report, report.records or [])
 
 
 def cmd_verify_all(args) -> int:

@@ -79,7 +79,8 @@ class GramReport:
     error (combined real/imaginary) for QMC.  ``offdiag_ratio`` is the largest
     off-diagonal magnitude over the mean diagonal; ``diag_spread`` the diagonal
     peak-to-peak over the mean.  Sigma-normalized versions are present for QMC
-    runs only.
+    runs only.  ``records`` are the many-body verdict records that
+    ``scalar_pass`` is taken from; both stay None without a verdict.
     """
 
     matrix: np.ndarray
@@ -97,6 +98,7 @@ class GramReport:
     offdiag_sigmas: float | None = None
     diag_pair_sigmas: float | None = None
     scalar_pass: bool | None = None
+    records: list[dict] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +495,8 @@ def gram_manybody(
     if spec.datum.matrix.primary:
         from .checks import gram_manybody_records, passed  # checks imports this module
 
-        report.scalar_pass = passed(gram_manybody_records(report, rel_tol))
+        report.records = gram_manybody_records(report, rel_tol)
+        report.scalar_pass = passed(report.records)
     return report
 
 

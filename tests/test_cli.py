@@ -143,6 +143,18 @@ class TestCli:
         assert payload["t1_exponents"] == [0, 2, 4, 1, 3]
         assert len(payload["t2_matrix"]) == 5
 
+    def test_heisenberg_verifies_before_printing(self, k22_doc, monkeypatch, capsys):
+        from torushall import heisenberg
+
+        broken = heisenberg.RepMatrices(
+            delta=3, q_exponent=2, t1_exponents=(0, 1, 2), t2_permutation=(1, 2, 0),
+            basis=tuple((Fraction(i, 3),) for i in range(3)),
+        )
+        monkeypatch.setattr(heisenberg, "rep_matrices", lambda datum: broken)
+        with pytest.raises(AssertionError, match="T1 T2 != q T2 T1"):
+            main(["heisenberg", "--input", k22_doc])
+        assert capsys.readouterr().out == ""
+
     def test_gram_center_pass(self, k2_doc, capsys):
         assert main(["gram-center", "--input", k2_doc, "--points", "32"]) == 0
         out = capsys.readouterr().out

@@ -86,6 +86,24 @@ class TestOddTheta:
         assert abs(theta_odd(0, 1j)) < 1e-14
         assert abs(theta_odd(0, 0.3 + 0.7j)) < 1e-14
 
+    def test_check_takes_zero_at_every_sampled_tau(self, monkeypatch):
+        from torushall import checks
+
+        taus = []
+        real = checks.theta_odd
+
+        def spy(z, tau, tol=1e-12):
+            if z == 0:
+                taus.append(tau)
+            return real(z, tau, tol)
+
+        monkeypatch.setattr(checks, "theta_odd", spy)
+        checks.check_theta_laws(seed=1, samples=5)
+        assert len(taus) == 10
+        taus.clear()
+        checks.check_theta_laws(seed=1, samples=5, zero_at_samples=True)
+        assert len(taus) == 15
+
     def test_odd(self, rng):
         for _ in range(100):
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0))
