@@ -5,8 +5,8 @@ gram-center, gram-manybody, verify-all.  Input documents follow the
 canonical schema of :mod:`torushall.serialize`; all numeric output is
 deterministic for a fixed configuration and seed.  Every check record is
 built by :mod:`torushall.checks`.  Exit status: 0 when every reported check
-passes, 1 when any check fails, 2 on input errors and on quadrature sizes
-over the sampling budget.
+passes, 1 when any check fails, 2 on input errors, on a series tolerance
+below theta.MIN_TOL and on quadrature sizes over the sampling budget.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .serialize import (
     render_checks_human,
     render_json,
 )
-from .theta import NonconvergentModulusError, TorusParams, jacobi_theta
+from .theta import NonconvergentModulusError, TorusParams, ToleranceTooSmallError, jacobi_theta
 
 SCHEMA_VERSION = 1
 
@@ -274,8 +274,8 @@ def _finish_gram(args, command: str, report: gram.GramReport, records: list[dict
 def cmd_gram_center(args) -> int:
     doc = _document(args)
     K, _datum, tau, xi = _resolve(doc)
-    quad = gram.QuadratureSpec(points_per_axis=args.points, seed=args.seed)
-    report = gram.gram_center(K, xi, tau, quad)
+    quad = gram.QuadratureSpec(points_per_axis=args.points)
+    report = gram.gram_center(K, xi, tau, quad, tol=args.tol)
     records = checks.gram_center_records(report, args.tol_gram)
     return _finish_gram(args, "gram-center", report, records)
 
@@ -304,6 +304,15 @@ def cmd_verify_all(args) -> int:
     return _finish_checks(args, "verify-all", records)
 
 
+FLAGS = {
+    "input": dict(required=True, help="input document (JSON or matrix text)"),
+    "tol": dict(type=float, default=1e-12, help="series tolerance (at least 1e-14)"),
+    "points": dict(type=int, default=48, help="quadrature points per axis"),
+    "samples": dict(type=int, default=1 << 20, help="QMC sample total"),
+    "seed": dict(type=int, default=0, help="random seed"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torushall",
@@ -311,71 +320,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="input document (JSON or matrix text)")
-        p.add_argument("--tol", type=float, default=1e-12, help="series tolerance")
-        p.add_argument("--points", type=int, default=48, help="quadrature points per axis")
-        p.add_argument("--samples", type=int, default=1 << 20, help="QMC sample total")
-        p.add_argument("--seed", type=int, default=0, help="QMC scrambling seed")
+    def command(name, handler, help, *flags):
+        """A subcommand with --format and only the shared flags it reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
         p.add_argument(
             "--format", choices=("human", "json"), default="human", help="output format"
         )
+        return p
 
-    common(sub.add_parser("validate", help="validate a coupling matrix / datum"))
-    common(sub.add_parser("invariants", help="exact bundle and group invariants"))
+    command("validate", cmd_validate, "validate a coupling matrix / datum", "input")
+    command("invariants", cmd_invariants, "exact bundle and group invariants", "input")
 
-    p = sub.add_parser("theta-eval", help="evaluate theta[a,b](z | tau)")
-    common(p, needs_input=False)
+    p = command("theta-eval", cmd_theta_eval, "evaluate theta[a,b](z | tau)", "tol")
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--z", type=float, nargs=2, default=(0.0, 0.0), metavar=("RE", "IM"))
     p.add_argument("--tau", type=float, nargs=2, default=(0.0, 1.0), metavar=("RE", "IM"))
 
-    p = sub.add_parser("wf-eval", help="evaluate a many-body wave function")
-    common(p)
+    p = command("wf-eval", cmd_wf_eval, "evaluate a many-body wave function", "input", "tol")
     p.add_argument("--c", type=int, default=0, help="coset index (lexicographic)")
     p.add_argument("--config", required=True, help="configuration JSON (nested [re, im])")
 
-    p = sub.add_parser("heisenberg", help="magnetic-translation matrices")
-    common(p)
+    p = command("heisenberg", cmd_heisenberg, "magnetic-translation matrices", "input")
     p.add_argument("--matrices", action="store_true", help="include floating matrices")
 
-    p = sub.add_parser("gram-center", help="center-of-mass Gram matrix")
-    common(p)
+    # --seed is accepted and ignored: the tensor rule draws no samples
+    p = command("gram-center", cmd_gram_center, "center-of-mass Gram matrix",
+                "input", "tol", "points", "seed")
     p.add_argument(
         "--tol-gram", type=float, help="orthogonality threshold (default: the check's own)"
     )
 
-    p = sub.add_parser("gram-manybody", help="many-body Gram matrix")
-    common(p)
+    p = command("gram-manybody", cmd_gram_manybody, "many-body Gram matrix",
+                "input", "tol", "points", "samples", "seed")
     p.add_argument("--scheme", choices=("auto", "tensor-gauss", "qmc"), default="auto")
 
-    common(sub.add_parser("verify-all", help="run the composed verification suite"))
+    command("verify-all", cmd_verify_all, "run the composed verification suite",
+            "input", "points", "seed")
     return parser
-
-
-HANDLERS = {
-    "validate": cmd_validate,
-    "invariants": cmd_invariants,
-    "theta-eval": cmd_theta_eval,
-    "wf-eval": cmd_wf_eval,
-    "heisenberg": cmd_heisenberg,
-    "gram-center": cmd_gram_center,
-    "gram-manybody": cmd_gram_manybody,
-    "verify-all": cmd_verify_all,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return HANDLERS[args.command](args)
+        return args.handler(args)
     except (
         SchemaError,
         wen.WenValidationError,
         NonconvergentModulusError,
+        ToleranceTooSmallError,
         gram.SamplingBudgetExceededError,
         FileNotFoundError,
     ) as exc:

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.stats import qmc
 
-from .theta import OmegaMatrix, TorusParams, _tail_halfwidth
+from .theta import OmegaMatrix, TorusParams, lattice_terms, truncation_plan
 from .wavefunctions import WaveFunctionSpec, jastrow_batch, center_basis_batch
 from .wen import PiElement, WenMatrix, pi_group, pi_scale
 
@@ -125,11 +124,16 @@ def metric_weight_1d(k: int, xi: complex, tau: TorusParams | complex, z):
 def metric_weight_g(K: WenMatrix, xi, tau: TorusParams | complex, z):
     """exp(-2 pi t (y, K y + 2 a)) for z an (..., g) array."""
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
-    zz = np.asarray(z, dtype=complex)
-    _, y = decompose(zz, tp)
+    _, y = decompose(z, tp)
+    return _height_weight(K, xi, tp, y)
+
+
+def _height_weight(K: WenMatrix, xi, tp: TorusParams, y: np.ndarray) -> np.ndarray:
+    """exp(-2 pi t (y'K y + 2 a.y)) at an (..., g) array of heights y, xi = b + tau a."""
     a = np.asarray(xi, dtype=complex).imag / tp.t
     kmat = np.array(K.entries, dtype=float)
-    quad = np.einsum("...i,ij,...j->...", y, kmat, y)
+    flat = y.reshape(-1, K.g)
+    quad = np.einsum("ij,jk,ik->i", flat, kmat, flat).reshape(y.shape[:-1])
     return np.exp(-2 * np.pi * tp.t * (quad + 2 * y @ a))
 
 
@@ -196,15 +200,9 @@ def inner_product_center(
                 f"{p}^{2 * K.g} tensor points exceed the budget {quad.budget}"
             )
         nodes, wts = gauss_nodes_01(p)
-        xg = _tensor_grid(nodes, K.g)
-        yg = _tensor_grid(nodes, K.g)
+        xg = yg = _tensor_grid(nodes, K.g)
         wx = _tensor_weights(wts, K.g)
-        a = np.asarray(xi, dtype=complex).imag / tp.t
-        kmat = np.array(K.entries, dtype=float)
-        hy = np.exp(
-            -2 * np.pi * tp.t * (np.einsum("ij,jk,ik->i", yg, kmat, yg) + 2 * yg @ a)
-        )
-        wy = _tensor_weights(wts, K.g) * hy
+        wy = wx * _height_weight(K, xi, tp, yg)
         total = 0.0 + 0.0j
         block = max(1, (1 << 22) // max(1, xg.shape[0]))
         for start in range(0, yg.shape[0], block):
@@ -242,40 +240,27 @@ def _center_basis_grid(
     Each lattice term of Theta[c,0](K(x + tau y) + xi | tau K) has integer
     frequency vector m = K(k + c), so its grid values factor into per-axis
     phase vectors; stacking terms turns the evaluation into one matrix
-    product per basis element.  Yields (c, H_c-block) column blocks.
+    product per basis element.  Yields (px, apy) per basis element, with
+    H_c on the grid equal to px.T @ apy.
     """
-    g = K.g
     kmat = np.array(K.entries, dtype=float)
-    omega = OmegaMatrix.create(tp_omega := tau.tau * kmat)
-    hw = _tail_halfwidth(omega.lambda_min, g, tol) + 1
-    a = np.asarray(xi, dtype=complex).imag / tau.t
-    kinv_a = np.linalg.solve(kmat, a)
-    xiv = np.asarray(xi, dtype=complex)
-    p = xnodes.size
-    mgrid = p**g
+    omega = OmegaMatrix.create(tau.tau * kmat)
+    kinv_a = np.linalg.solve(kmat, np.asarray(xi, dtype=complex).imag / tau.t)
     for c in cs:
         cf = np.array([float(q) for q in c])
-        lo = np.floor(-cf - 1 - kinv_a).astype(int) - hw
-        hi = np.ceil(-cf - kinv_a).astype(int) + hw
-        axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
-        kk = np.stack([gr.ravel() for gr in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        ka = kk + cf[None, :]
-        # integer frequencies K(k+c); exact because K c is integral
-        kc = [sum(Fraction(K.entries[i][j]) * c[j] for j in range(g)) for i in range(g)]
-        assert all(f.denominator == 1 for f in kc)
-        m = kk @ np.array(K.entries).T + np.array([int(f) for f in kc])[None, :]
-        coeff = np.exp(
-            1j * np.pi * np.einsum("ij,jk,ik->i", ka, tp_omega, ka)
-            + 2j * np.pi * (ka @ xiv)
+        # term peaks sit at -c - y - K^{-1} a for heights y in [0, 1]^g
+        ka, coeff = lattice_terms(
+            omega, truncation_plan(omega, cf, tol), xi, -cf - 1 - kinv_a, -cf - kinv_a
         )
-        px = np.ones((len(kk), 1), dtype=complex)
-        py = np.ones((len(kk), 1), dtype=complex)
-        for j in range(g):
+        m = np.rint(ka @ kmat.T)  # integral, because K c is
+        px = np.ones((len(ka), 1), dtype=complex)
+        py = np.ones((len(ka), 1), dtype=complex)
+        for j in range(K.g):
             vx = np.exp(2j * np.pi * np.outer(m[:, j], xnodes))
             vy = np.exp(2j * np.pi * tau.tau * np.outer(m[:, j], xnodes))
-            px = (px[:, :, None] * vx[:, None, :]).reshape(len(kk), -1)
-            py = (py[:, :, None] * vy[:, None, :]).reshape(len(kk), -1)
-        yield c, px, coeff[:, None] * py, mgrid
+            px = (px[:, :, None] * vx[:, None, :]).reshape(len(ka), -1)
+            py = (py[:, :, None] * vy[:, None, :]).reshape(len(ka), -1)
+        yield px, coeff[:, None] * py
 
 
 def _gram_center_at(
@@ -288,29 +273,23 @@ def _gram_center_at(
 ) -> np.ndarray:
     nodes, wts = gauss_nodes_01(p)
     wx = _tensor_weights(wts, K.g)
-    yg = _tensor_grid(nodes, K.g)
-    kmat = np.array(K.entries, dtype=float)
-    a = np.asarray(xi, dtype=complex).imag / tp.t
-    hy = np.exp(-2 * np.pi * tp.t * (np.einsum("ij,jk,ik->i", yg, kmat, yg) + 2 * yg @ a))
-    wy = _tensor_weights(wts, K.g) * hy
+    wy = wx * _height_weight(K, xi, tp, _tensor_grid(nodes, K.g))
     blocks = list(_center_basis_grid(K, xi, tp, cs, nodes, tol))
     d = len(cs)
     gmat = np.zeros((d, d), dtype=complex)
-    mgrid = blocks[0][3]
+    mgrid = wy.size
     step = max(1, (1 << 23) // mgrid)
     for start in range(0, mgrid, step):
         stop = min(start + step, mgrid)
-        hcs = [px.T @ apy[:, start:stop] for _c, px, apy, _m in blocks]
+        hcs = [px.T @ apy[:, start:stop] for px, apy in blocks]
         wyb = wy[start:stop]
         for i in range(d):
-            wxh = wx @ (hcs[i] * np.conj(hcs[i]))
-            gmat[i, i] += wxh @ wyb
+            gmat[i, i] += (wx @ (hcs[i] * np.conj(hcs[i]))) @ wyb
             for j in range(i + 1, d):
                 # orient each pair by basis value, not slot, so a permuted
                 # ordering reproduces bit-identical estimates
                 lo_, hi_ = (i, j) if cs[i] <= cs[j] else (j, i)
-                val = (wx @ (hcs[lo_] * np.conj(hcs[hi_]))) @ wyb
-                gmat[lo_, hi_] += val
+                gmat[lo_, hi_] += (wx @ (hcs[lo_] * np.conj(hcs[hi_]))) @ wyb
         del hcs
     for i in range(d):
         for j in range(d):

@@ -17,20 +17,28 @@ making the infinity-norm shell bound
     sum_{j >= r} 2 g (2j+1)^{g-1} exp(-pi lambda_min j^2)
 
 fall below tol/4 (lambda_min the smallest eigenvalue of Im(Omega); the
-extra factor 2 is the safety margin on the tol/2 budget).  Characteristics
+extra factor 2 is the safety margin on the tol/2 budget).  The bound is
+relative to the largest term, of modulus exp(pi y' Im(Omega)^{-1} y) with
+y = Im(z); near a zero of Theta that is far above |Theta|.  Characteristics
 are used exactly as given; nothing is reduced modulo 1.
 
-Batch entry points share one truncation window across all evaluation
-points of a call, sized from the range of Im(z) in the batch.  Set
-TORUSHALL_THREADS=<n> to split large batches over n worker threads
-(chunks are written to disjoint slices, so results are deterministic).
+The series is truncated and summed in one place.  `lattice_terms` builds
+the window of a `TruncationPlan` around a range of peak centres and returns
+the shifted lattice points k + a with their coefficients
+exp(pi i (k+a)' Omega (k+a) + 2 pi i (k+a)' b); the private kernel
+`_theta_sum` multiplies those coefficients by the phases exp(2 pi i (k+a)' z)
+of a batch of points, one window shared by the whole batch and sized from
+the range of Im(z) in it.  `riemann_theta_batch` is that kernel, and
+`jacobi_theta_batch` is its g = 1 case with Omega = [[tau]].  The
+center-of-mass Gram quadrature takes its window and coefficients from
+`lattice_terms` as well and evaluates the phases on a product grid.  No tol
+below MIN_TOL = 1e-14 is accepted: below it, rounding in double arithmetic
+alone can exceed the bound.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,8 +57,11 @@ class ImagNotPositiveDefiniteError(ValueError):
     pass
 
 
-MIN_TOL_1D = 1e-15
-MIN_TOL_ND = 1e-14
+class ToleranceTooSmallError(ValueError):
+    """tol below MIN_TOL: rounding in double arithmetic alone can exceed it."""
+
+
+MIN_TOL = 1e-14
 _CHUNK = 1 << 21  # max term-matrix entries per chunk
 
 
@@ -140,21 +151,15 @@ class TruncationPlan:
     a: tuple[float, ...]
     tol: float
 
-    def axis_bounds(
-        self, center_lo: Sequence[float], center_hi: Sequence[float]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Integer summation bounds covering peaks in [center_lo, center_hi]."""
-        lo = np.floor(np.asarray(center_lo)).astype(int) - self.halfwidth
-        hi = np.ceil(np.asarray(center_hi)).astype(int) + self.halfwidth
-        return lo, hi
-
 
 def _tail_halfwidth(lambda_min: float, g: int, tol: float) -> int:
     """Smallest integer r whose infinity-norm shell tail is below tol/4."""
     if lambda_min <= 0:
         raise ImagNotPositiveDefiniteError("need a positive smallest eigenvalue")
     target = tol / 4.0
-    r = 1
+    # for r^2 below r2 the first tail term alone, 2 g exp(-pi lambda_min r^2), exceeds target
+    r2 = math.log(2 * g / target) / (math.pi * lambda_min)
+    r = max(1, math.floor(math.sqrt(max(r2, 0.0))))
     while r < 100000:
         j = np.arange(r, r + 256, dtype=float)
         tail = float(np.sum(2 * g * (2 * j + 1) ** (g - 1) * np.exp(-np.pi * lambda_min * j * j)))
@@ -166,8 +171,8 @@ def _tail_halfwidth(lambda_min: float, g: int, tol: float) -> int:
 
 def truncation_plan(omega: OmegaMatrix, a: Sequence[float], tol: float) -> TruncationPlan:
     """Shared summation window for Theta[a, .](. | Omega) at tolerance tol."""
-    if tol < MIN_TOL_ND:
-        raise ValueError(f"tol must be >= {MIN_TOL_ND}")
+    if tol < MIN_TOL:
+        raise ToleranceTooSmallError(f"tol = {tol:g} is below the minimum {MIN_TOL:g}")
     g = omega.g
     r = _tail_halfwidth(omega.lambda_min, g, tol)
     return TruncationPlan(
@@ -180,55 +185,60 @@ def truncation_plan(omega: OmegaMatrix, a: Sequence[float], tol: float) -> Trunc
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TORUSHALL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def lattice_terms(
+    omega: OmegaMatrix,
+    plan: TruncationPlan,
+    b,
+    center_lo: Sequence[float],
+    center_hi: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted lattice points k + a of the plan's window, with coefficients.
+
+    The window is the integer box covering term peaks in [center_lo,
+    center_hi], widened by the plan's halfwidth; a is the plan's
+    characteristic.  Returns ka, an (N, g) array of the points k + a in
+    row-major box order, and coeff, exp(pi i ka' Omega ka + 2 pi i ka . b)
+    for each of them; b may be complex.
+    """
+    hw = plan.halfwidth
+    axes = [
+        np.arange(math.floor(lo) - hw, math.ceil(hi) + hw + 1, dtype=float)
+        for lo, hi in zip(center_lo, center_hi)
+    ]
+    ks = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, plan.g)
+    ka = ks + np.asarray(plan.a)[None, :]
+    quad = np.einsum("ij,jk,ik->i", ka, omega.omega, ka)
+    coeff = np.exp(1j * np.pi * quad + 2j * np.pi * (ka @ np.asarray(b)))
+    return ka, coeff
 
 
-def _run_chunks(fn, n_points: int, chunk: int):
-    """Apply fn to index ranges; deterministic regardless of thread count."""
-    spans = [(i, min(i + chunk, n_points)) for i in range(0, n_points, chunk)]
-    workers = _thread_count()
-    if workers == 1 or len(spans) == 1:
-        for span in spans:
-            fn(*span)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda sp: fn(*sp), spans))
+def _theta_sum(omega: OmegaMatrix, plan: TruncationPlan, b, z: np.ndarray) -> np.ndarray:
+    """Theta[plan.a, b](z | Omega) at an (M, g) array z, one window for all points."""
+    out = np.empty(z.shape[0], dtype=complex)
+    if not out.size:
+        return out
+    centers = -np.asarray(plan.a)[None, :] - np.linalg.solve(omega.omega.imag, z.imag.T).T
+    ka, coeff = lattice_terms(omega, plan, b, centers.min(axis=0), centers.max(axis=0))
+    step = max(1, _CHUNK // ka.shape[0])
+    for s in range(0, z.shape[0], step):
+        out[s : s + step] = np.exp(2j * np.pi * (z[s : s + step] @ ka.T)) @ coeff
+    return out
 
 
 # ---------------------------------------------------------------------------
-# one-variable series
+# one-variable series: the g = 1 case with Omega = [[tau]]
 
 
 def jacobi_theta_batch(
     a: float, b: float, z, tau: TorusParams | complex, tol: float = 1e-12
 ) -> np.ndarray:
     """theta[a,b] at an array of points z, one shared summation window."""
-    if tol < MIN_TOL_1D:
-        raise ValueError(f"tol must be >= {MIN_TOL_1D}")
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
     zz = np.asarray(z, dtype=complex)
-    flat = zz.ravel()
-    t = tp.t
-    hw = _tail_halfwidth(t, 1, tol) + 1
-    imz = flat.imag
-    c_lo = -a - (imz.max() if flat.size else 0.0) / t
-    c_hi = -a - (imz.min() if flat.size else 0.0) / t
-    ks = np.arange(math.floor(c_lo) - hw, math.ceil(c_hi) + hw + 1, dtype=float)
-    ka = ks + a
-    coeff = np.exp(1j * np.pi * tp.tau * ka * ka + 2j * np.pi * ka * b)
-    out = np.empty(flat.shape, dtype=complex)
-    chunk = max(1, _CHUNK // max(1, ka.size))
-
-    def work(lo: int, hi: int) -> None:
-        out[lo:hi] = np.exp(2j * np.pi * np.outer(flat[lo:hi], ka)) @ coeff
-
-    _run_chunks(work, flat.size, chunk)
-    return out.reshape(zz.shape)
+    # TorusParams has checked Im tau > 0, so the 1 x 1 factors are direct
+    omega = OmegaMatrix(np.array([[tp.tau]]), np.array([[math.sqrt(tp.t)]]), tp.t)
+    plan = truncation_plan(omega, (a,), tol)
+    return _theta_sum(omega, plan, np.array([float(b)]), zz.reshape(-1, 1)).reshape(zz.shape)
 
 
 def jacobi_theta(
@@ -251,12 +261,6 @@ def theta_odd_batch(z, tau: TorusParams | complex, tol: float = 1e-12) -> np.nda
 # g-variable series
 
 
-def _lattice_box(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    axes = [np.arange(l, h + 1, dtype=float) for l, h in zip(lo, hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gr.ravel() for gr in grids], axis=-1)
-
-
 def riemann_theta_batch(
     chars: ThetaCharacteristics,
     z,
@@ -265,31 +269,14 @@ def riemann_theta_batch(
     plan: TruncationPlan | None = None,
 ) -> np.ndarray:
     """Theta[a,b] at an (M, g) array of points, one shared window."""
-    zz = np.asarray(z, dtype=complex)
-    if zz.ndim == 1:
-        zz = zz[None, :]
+    zz = np.atleast_2d(np.asarray(z, dtype=complex))
     if zz.shape[1] != omega.g or chars.g != omega.g:
         raise ValueError("dimension mismatch between z, Omega, characteristics")
     if plan is None:
         plan = truncation_plan(omega, chars.a, tol)
-    a = np.asarray(chars.a, dtype=float)
-    b = np.asarray(chars.b, dtype=float)
-    y = omega.omega.imag
-    centers = -a[None, :] - np.linalg.solve(y, zz.imag.T).T
-    lo, hi = plan.axis_bounds(centers.min(axis=0), centers.max(axis=0))
-    ks = _lattice_box(lo, hi)
-    ka = ks + a[None, :]
-    quad = np.einsum("ij,jk,ik->i", ka, omega.omega, ka)
-    coeff = np.exp(1j * np.pi * quad + 2j * np.pi * (ka @ b))
-    zb = zz
-    out = np.empty(zz.shape[0], dtype=complex)
-    chunk = max(1, _CHUNK // max(1, ka.shape[0]))
-
-    def work(s: int, e: int) -> None:
-        out[s:e] = np.exp(2j * np.pi * (zb[s:e] @ ka.T)) @ coeff
-
-    _run_chunks(work, zz.shape[0], chunk)
-    return out
+    elif plan.a != tuple(float(x) for x in chars.a):
+        raise ValueError("the truncation plan was made for other characteristics")
+    return _theta_sum(omega, plan, np.asarray(chars.b, dtype=float), zz)
 
 
 def riemann_theta(
@@ -299,5 +286,4 @@ def riemann_theta(
     tol: float = 1e-12,
 ) -> complex:
     """Theta[a,b](z | Omega) with truncation error below tol."""
-    zz = np.asarray(z, dtype=complex).reshape(1, -1)
-    return complex(riemann_theta_batch(chars, zz, omega, tol)[0])
+    return complex(riemann_theta_batch(chars, z, omega, tol)[0])

@@ -209,6 +209,50 @@ class TestCli:
         assert "SamplingBudgetExceededError" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["theta-eval", "--tol", "1e-16"],
+            ["theta-eval", "--tol", "1e-15"],
+            ["gram-manybody", "--input", "{k2}", "--tol", "1e-16"],
+        ],
+        ids=["theta-eval-1e-16", "theta-eval-1e-15", "gram-manybody"],
+    )
+    def test_tol_below_minimum_exit_two(self, command, k2_doc, capsys):
+        assert main([arg.format(k2=k2_doc) for arg in command]) == 2
+        captured = capsys.readouterr()
+        assert "ToleranceTooSmallError" in captured.err
+        assert captured.out == ""
+
+    def test_gram_center_forwards_tol(self, k2_doc, monkeypatch, capsys):
+        from torushall import gram
+
+        seen = []
+        real = gram.gram_center
+
+        def spy(*args, tol=gram.DEFAULT_TOL, **kwargs):
+            seen.append(tol)
+            return real(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(gram, "gram_center", spy)
+        assert main(["gram-center", "--input", k2_doc, "--points", "16", "--tol", "1e-6"]) == 0
+        assert seen == [1e-6]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["verify-all", "--input", "{k2}", "--tol", "1e-3"],
+            ["validate", "--input", "{k2}", "--points", "3"],
+            ["validate", "--input", "{k2}", "--samples", "7"],
+        ],
+        ids=["verify-all-tol", "validate-points", "validate-samples"],
+    )
+    def test_unread_flag_rejected(self, command, k2_doc, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(k2=k2_doc) for arg in command])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_gram_manybody_sigma_failure_is_json(self, readme_doc, capsys):
         args = ["gram-manybody", "--input", readme_doc, "--scheme", "qmc", "--samples", "16384"]
         assert main(args + ["--seed", "0", "--format", "json"]) == 1

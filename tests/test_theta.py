@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from torushall.theta import (
+    MIN_TOL,
     AsymmetricOmegaError,
     ImagNotPositiveDefiniteError,
     NonconvergentModulusError,
     OmegaMatrix,
     ThetaCharacteristics,
+    ToleranceTooSmallError,
     jacobi_theta,
     jacobi_theta_batch,
     riemann_theta,
@@ -79,6 +81,36 @@ class TestJacobiTheta:
     def test_rejects_too_small_tol(self):
         with pytest.raises(ValueError):
             jacobi_theta(0, 0, 0, 1j, tol=1e-16)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_one_minimum_tol_for_every_g(self, g):
+        # 1e-15 was accepted at g = 1, where double rounding alone exceeds it
+        om = OmegaMatrix.create(1j * np.eye(g))
+        chars = ThetaCharacteristics(a=(0.1,) * g, b=(0.2,) * g)
+        evaluators = [lambda tol: riemann_theta(chars, np.zeros(g), om, tol)]
+        if g == 1:
+            evaluators.append(lambda tol: jacobi_theta(0.1, 0.2, 0, 1j, tol))
+        for evaluate in evaluators:
+            with pytest.raises(ToleranceTooSmallError):
+                evaluate(1e-15)
+            evaluate(MIN_TOL)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: jacobi_theta_batch(0.1, 0.2, np.empty(0), 1j),
+        lambda: riemann_theta_batch(
+            ThetaCharacteristics(a=(0.1, 0.2), b=(0.0, 0.3)),
+            np.empty((0, 2)),
+            OmegaMatrix.create(OMEGA_G2),
+        ),
+    ],
+    ids=["jacobi", "riemann"],
+)
+def test_empty_batch_gives_empty_array(evaluate):
+    out = evaluate()
+    assert out.shape == (0,) and out.dtype == complex
 
 
 class TestOddTheta:
