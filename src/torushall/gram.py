@@ -284,12 +284,14 @@ def _gram_center_at(
         hcs = [px.T @ apy[:, start:stop] for px, apy in blocks]
         wyb = wy[start:stop]
         for i in range(d):
-            gmat[i, i] += (wx @ (hcs[i] * np.conj(hcs[i]))) @ wyb
+            wxh = wx @ (hcs[i] * np.conj(hcs[i]))
+            gmat[i, i] += wxh @ wyb
             for j in range(i + 1, d):
                 # orient each pair by basis value, not slot, so a permuted
                 # ordering reproduces bit-identical estimates
                 lo_, hi_ = (i, j) if cs[i] <= cs[j] else (j, i)
-                gmat[lo_, hi_] += (wx @ (hcs[lo_] * np.conj(hcs[hi_]))) @ wyb
+                val = (wx @ (hcs[lo_] * np.conj(hcs[hi_]))) @ wyb
+                gmat[lo_, hi_] += val
         del hcs
     for i in range(d):
         for j in range(d):
