@@ -293,7 +293,7 @@ def check_kvw_quasi_periodicity(
     grp = wen.pi_group(spec.datum.matrix)
     worst1 = worst_tau = 0.0
     for _ in range(samples):
-        config = wavefunctions.random_configuration(spec.datum, rng)
+        config = wavefunctions.random_configuration(spec, rng)
         c = grp.elements[rng.integers(0, len(grp))]
         base = wavefunctions.kvw_wavefunction(spec, c, config)
         k = int(rng.integers(0, spec.g))
@@ -315,7 +315,7 @@ def check_magnetic_action(
 ) -> list[dict]:
     rng = np.random.default_rng(seed)
     grp = wen.pi_group(spec.datum.matrix)
-    configs = [wavefunctions.random_configuration(spec.datum, rng) for _ in range(samples)]
+    configs = [wavefunctions.random_configuration(spec, rng) for _ in range(samples)]
     worst_t1 = _worst(
         *(wavefunctions.magnetic_action_residual(spec, c, "t1", configs) for c in grp.elements)
     )

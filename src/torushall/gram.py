@@ -32,7 +32,8 @@ import numpy as np
 from scipy.stats import qmc
 
 from .theta import OmegaMatrix, TorusParams, lattice_terms, truncation_plan
-from .wavefunctions import WaveFunctionSpec, jastrow_batch, center_basis_batch
+from .wavefunctions import WaveFunctionSpec, center_basis_values, jastrow_batch
+from .wavefunctions import center_basis_batch  # noqa: F401  bench/test_bench.py wraps it here
 from .wen import PiElement, WenMatrix, pi_group, pi_scale
 
 DEFAULT_TOL = 1e-12
@@ -249,9 +250,10 @@ def _center_basis_grid(
     for c in cs:
         cf = np.array([float(q) for q in c])
         # term peaks sit at -c - y - K^{-1} a for heights y in [0, 1]^g
-        ka, coeff = lattice_terms(
+        ks, coeff = lattice_terms(
             omega, truncation_plan(omega, cf, tol), xi, -cf - 1 - kinv_a, -cf - kinv_a
         )
+        ka = ks + cf[None, :]
         m = np.rint(ka @ kmat.T)  # integral, because K c is
         px = np.ones((len(ka), 1), dtype=complex)
         py = np.ones((len(ka), 1), dtype=complex)
@@ -260,7 +262,7 @@ def _center_basis_grid(
             vy = np.exp(2j * np.pi * tau.tau * np.outer(m[:, j], xnodes))
             px = (px[:, :, None] * vx[:, None, :]).reshape(len(ka), -1)
             py = (py[:, :, None] * vy[:, None, :]).reshape(len(ka), -1)
-        yield px, coeff[:, None] * py
+        yield px, coeff * py
 
 
 def _gram_center_at(
@@ -404,10 +406,7 @@ def _manybody_values(
         )
         start += nk
     w = np.stack([layer.sum(axis=1) for layer in layers], axis=-1)
-    dfac = jastrow_batch(datum, tau, layers, tol)
-    values = np.stack(
-        [center_basis_batch(spec, c, w, tol) * dfac for c in basis], axis=0
-    )
+    values = center_basis_values(spec, basis, w, tol) * jastrow_batch(datum, tau, layers, tol)
     return weight, values
 
 

@@ -9,31 +9,39 @@ g variables, for a symmetric Omega with positive-definite imaginary part:
     Theta[a,b](z | Omega) = sum_{k in Z^g} exp(pi i (k+a)' Omega (k+a)
                                                + 2 pi i (k+a)' (z+b))
 
-Truncation strategy: term magnitudes are a Gaussian in k centred at
-mu = -a - Im(Omega)^{-1} Im(z).  Summation runs over the axis-aligned
-integer box of halfwidth r around mu, where r is the smallest integer
-making the infinity-norm shell bound
+Lattice reduction (Deconinck, Heil, Bobenko, van Hoeij and Schmies, Math.
+Comp. 73, 2004): with Y = Im(Omega), m = rint(Y^{-1} Im z), z' = z - Omega m,
 
-    sum_{j >= r} 2 g (2j+1)^{g-1} exp(-pi lambda_min j^2)
+    Theta[a,b](z | Omega) = exp(-pi i m' (z + z' + 2b)) Theta[a,b](z' | Omega).
 
-fall below tol/4 (lambda_min the smallest eigenvalue of Im(Omega); the
-extra factor 2 is the safety margin on the tol/2 budget).  The bound is
-relative to the largest term, of modulus exp(pi y' Im(Omega)^{-1} y) with
-y = Im(z); near a zero of Theta that is far above |Theta|.  Characteristics
-are used exactly as given; nothing is reduced modulo 1.
+The factor does not depend on a and carries the size of the value, about
+exp(pi y' Y^{-1} y) with y = Im z, so it overflows only where the value
+does.  The reduced heights Y^{-1} Im z' lie in [-1/2, 1/2]^g, where the
+terms neither overflow nor underflow against each other.
+
+Truncation: the reduced terms are a Gaussian in k centred at
+mu = -a - Y^{-1} Im z'.  Summation runs over the integer box of halfwidth r
+around the range of mu, r the smallest integer making the shell bound
+sum_{j >= r} 2 g (2j+1)^{g-1} exp(-pi lambda_min j^2) fall below tol/4
+(lambda_min the smallest eigenvalue of Y; the factor 2 is the safety margin
+on the tol/2 budget).  The bound is relative to the largest term, of
+modulus exp(pi y' Y^{-1} y); near a zero of Theta that is far above |Theta|.
+Characteristics are used exactly as given, not reduced modulo 1.
 
 The series is truncated and summed in one place.  `lattice_terms` builds
-the window of a `TruncationPlan` around a range of peak centres and returns
-the shifted lattice points k + a with their coefficients
-exp(pi i (k+a)' Omega (k+a) + 2 pi i (k+a)' b); the private kernel
-`_theta_sum` multiplies those coefficients by the phases exp(2 pi i (k+a)' z)
-of a batch of points, one window shared by the whole batch and sized from
-the range of Im(z) in it.  `riemann_theta_batch` is that kernel, and
-`jacobi_theta_batch` is its g = 1 case with Omega = [[tau]].  The
-center-of-mass Gram quadrature takes its window and coefficients from
-`lattice_terms` as well and evaluates the phases on a product grid.  No tol
-below MIN_TOL = 1e-14 is accepted: below it, rounding in double arithmetic
-alone can exceed the bound.
+the box of a `TruncationPlan` with the coefficients
+exp(pi i (k+a)' Omega (k+a) + 2 pi i (k+a)' b) of each of the plan's
+characteristics a.  The kernel `_theta_sum` evaluates all of them at once:
+Theta[a,b](z') = exp(2 pi i a' z') sum_k coeff_a(k) exp(2 pi i k' z'), and
+the phases exp(2 pi i k' z') are shared.  Per axis they cost two `exp` per
+point; the other powers are repeated products, combined on the box as a
+product grid.  One (points x terms) @ (terms x characteristics) product
+then sums every characteristic; chunks of points keep the phase matrix
+near 2^16 entries.  `riemann_theta_batch` is the kernel for one
+characteristic, `jacobi_theta_batch` its g = 1 case with Omega = [[tau]].
+The center-of-mass Gram takes its box and coefficients from
+`lattice_terms` too.  No tol below MIN_TOL = 1e-14 is accepted: below it,
+rounding in double arithmetic alone can exceed the bound.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ class ToleranceTooSmallError(ValueError):
 
 
 MIN_TOL = 1e-14
-_CHUNK = 1 << 21  # max term-matrix entries per chunk
+_CHUNK = 1 << 16  # phase-matrix entries per chunk of points
 
 
 @dataclass(frozen=True)
@@ -106,12 +114,11 @@ class ThetaCharacteristics:
 class OmegaMatrix:
     """Symmetric period matrix with positive-definite imaginary part.
 
-    Stores the lower Cholesky factor of Im(Omega) and its smallest
-    eigenvalue, which drive the truncation bound.
+    Stores the smallest eigenvalue of Im(Omega), which drives the
+    truncation bound.
     """
 
     omega: np.ndarray
-    imag_cholesky: np.ndarray = field(compare=False)
     lambda_min: float = field(compare=False)
 
     @classmethod
@@ -123,17 +130,11 @@ class OmegaMatrix:
         if float(np.max(np.abs(om - om.T))) > 1e-14 * scale:
             raise AsymmetricOmegaError("Omega is not symmetric")
         om = (om + om.T) / 2
-        y = om.imag
-        try:
-            chol = np.linalg.cholesky(y)
-        except np.linalg.LinAlgError as exc:
-            raise ImagNotPositiveDefiniteError(
-                "Im(Omega) is not positive definite"
-            ) from exc
-        lam = float(np.min(np.linalg.eigvalsh(y)))
+        lam = float(np.min(np.linalg.eigvalsh(om.imag)))
+        if not lam > 0:
+            raise ImagNotPositiveDefiniteError("Im(Omega) is not positive definite")
         om.setflags(write=False)
-        chol.setflags(write=False)
-        return cls(omega=om, imag_cholesky=chol, lambda_min=lam)
+        return cls(omega=om, lambda_min=lam)
 
     @property
     def g(self) -> int:
@@ -142,13 +143,12 @@ class OmegaMatrix:
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Integer window that keeps the discarded theta tail below tol/2."""
+    """Integer window that keeps the discarded theta tail below tol/2 for each of ``a``."""
 
     halfwidth: int
-    radius: float  # ellipsoid radius in the Im(Omega) metric
     lambda_min: float
     g: int
-    a: tuple[float, ...]
+    a: tuple[tuple[float, ...], ...]
     tol: float
 
 
@@ -169,18 +169,19 @@ def _tail_halfwidth(lambda_min: float, g: int, tol: float) -> int:
     raise RuntimeError("truncation search did not converge")
 
 
-def truncation_plan(omega: OmegaMatrix, a: Sequence[float], tol: float) -> TruncationPlan:
-    """Shared summation window for Theta[a, .](. | Omega) at tolerance tol."""
+def truncation_plan(omega: OmegaMatrix, a, tol: float) -> TruncationPlan:
+    """Shared window for Theta[a, .](. | Omega) at tol; a: one characteristic or (d, g)."""
     if tol < MIN_TOL:
         raise ToleranceTooSmallError(f"tol = {tol:g} is below the minimum {MIN_TOL:g}")
     g = omega.g
-    r = _tail_halfwidth(omega.lambda_min, g, tol)
+    chars = np.atleast_2d(np.asarray(a, dtype=float))
+    if chars.shape[1] != g:
+        raise ValueError(f"characteristics must have g = {g} entries each")
     return TruncationPlan(
-        halfwidth=r + 1,
-        radius=float(r * math.sqrt(omega.lambda_min)),
+        halfwidth=_tail_halfwidth(omega.lambda_min, g, tol) + 1,
         lambda_min=omega.lambda_min,
         g=g,
-        a=tuple(float(x) for x in a),
+        a=tuple(tuple(float(x) for x in row) for row in chars),
         tol=tol,
     )
 
@@ -192,13 +193,13 @@ def lattice_terms(
     center_lo: Sequence[float],
     center_hi: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted lattice points k + a of the plan's window, with coefficients.
+    """Integer points of the plan's window, with coefficients per characteristic.
 
     The window is the integer box covering term peaks in [center_lo,
-    center_hi], widened by the plan's halfwidth; a is the plan's
-    characteristic.  Returns ka, an (N, g) array of the points k + a in
-    row-major box order, and coeff, exp(pi i ka' Omega ka + 2 pi i ka . b)
-    for each of them; b may be complex.
+    center_hi], widened by the plan's halfwidth.  Returns ks, its (N, g)
+    integer points in row-major order (ks[0] and ks[-1] are the corners),
+    and coeff, (N, d) with column j exp(pi i ka' Omega ka + 2 pi i ka . b)
+    at ka = k + a_j for the plan's characteristics a_j; b may be complex.
     """
     hw = plan.halfwidth
     axes = [
@@ -206,22 +207,53 @@ def lattice_terms(
         for lo, hi in zip(center_lo, center_hi)
     ]
     ks = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, plan.g)
-    ka = ks + np.asarray(plan.a)[None, :]
-    quad = np.einsum("ij,jk,ik->i", ka, omega.omega, ka)
-    coeff = np.exp(1j * np.pi * quad + 2j * np.pi * (ka @ np.asarray(b)))
-    return ka, coeff
+    coeff = np.empty((ks.shape[0], len(plan.a)), dtype=complex)
+    for j, a in enumerate(plan.a):
+        ka = ks + np.asarray(a)[None, :]
+        quad = np.einsum("ij,jk,ik->i", ka, omega.omega, ka)
+        coeff[:, j] = np.exp(1j * np.pi * quad + 2j * np.pi * (ka @ np.asarray(b)))
+    return ks, coeff
+
+
+def _axis_powers(z: np.ndarray, lo: float, count: int) -> np.ndarray:
+    """exp(2 pi i k z), k = lo .. lo + count - 1, as products outward from the middle power."""
+    mid = count // 2
+    u = np.exp(2j * np.pi * z)
+    out = np.empty((z.shape[0], count), dtype=complex)
+    out[:, mid + 1 :] = u[:, None]
+    out[:, :mid] = (1 / u)[:, None]
+    out[:, mid] = np.exp(2j * np.pi * (lo + mid) * z)
+    np.multiply.accumulate(out[:, mid:], axis=1, out=out[:, mid:])
+    np.multiply.accumulate(out[:, mid::-1], axis=1, out=out[:, mid::-1])
+    return out
 
 
 def _theta_sum(omega: OmegaMatrix, plan: TruncationPlan, b, z: np.ndarray) -> np.ndarray:
-    """Theta[plan.a, b](z | Omega) at an (M, g) array z, one window for all points."""
-    out = np.empty(z.shape[0], dtype=complex)
+    """Theta[a, b](z | Omega) for every characteristic a of the plan.
+
+    z is an (M, g) array and b a real g-vector; returns an (M, d) array.
+    """
+    a = np.asarray(plan.a)
+    out = np.empty((z.shape[0], a.shape[0]), dtype=complex)
     if not out.size:
         return out
-    centers = -np.asarray(plan.a)[None, :] - np.linalg.solve(omega.omega.imag, z.imag.T).T
-    ka, coeff = lattice_terms(omega, plan, b, centers.min(axis=0), centers.max(axis=0))
-    step = max(1, _CHUNK // ka.shape[0])
+    heights = np.linalg.solve(omega.omega.imag, z.imag.T).T
+    m = np.rint(heights)
+    zr = z - m @ omega.omega
+    factor = np.exp(-1j * np.pi * np.sum(m * (z + zr + 2 * b), axis=1))
+    reduced = heights - m  # Im(Omega)^{-1} Im(zr), in [-1/2, 1/2]^g
+    peaks = (-a.max(0) - reduced.max(0), -a.min(0) - reduced.min(0))  # range of -a - reduced
+    ks, coeff = lattice_terms(omega, plan, b, *peaks)
+    lo, counts = ks[0], (ks[-1] - ks[0] + 1).astype(int)
+    step = max(1, _CHUNK // ks.shape[0])
     for s in range(0, z.shape[0], step):
-        out[s : s + step] = np.exp(2j * np.pi * (z[s : s + step] @ ka.T)) @ coeff
+        zc = zr[s : s + step]
+        phases = _axis_powers(zc[:, 0], lo[0], counts[0])
+        for i in range(1, plan.g):
+            axis = _axis_powers(zc[:, i], lo[i], counts[i])
+            phases = (phases[:, :, None] * axis[:, None, :]).reshape(zc.shape[0], -1)
+        out[s : s + step] = (phases @ coeff) * np.exp(2j * np.pi * (zc @ a.T))
+    out *= factor[:, None]
     return out
 
 
@@ -235,10 +267,10 @@ def jacobi_theta_batch(
     """theta[a,b] at an array of points z, one shared summation window."""
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
     zz = np.asarray(z, dtype=complex)
-    # TorusParams has checked Im tau > 0, so the 1 x 1 factors are direct
-    omega = OmegaMatrix(np.array([[tp.tau]]), np.array([[math.sqrt(tp.t)]]), tp.t)
+    # TorusParams has checked Im tau > 0, which is all OmegaMatrix.create would check
+    omega = OmegaMatrix(np.array([[tp.tau]]), tp.t)
     plan = truncation_plan(omega, (a,), tol)
-    return _theta_sum(omega, plan, np.array([float(b)]), zz.reshape(-1, 1)).reshape(zz.shape)
+    return _theta_sum(omega, plan, np.array([float(b)]), zz.reshape(-1, 1))[:, 0].reshape(zz.shape)
 
 
 def jacobi_theta(
@@ -274,9 +306,9 @@ def riemann_theta_batch(
         raise ValueError("dimension mismatch between z, Omega, characteristics")
     if plan is None:
         plan = truncation_plan(omega, chars.a, tol)
-    elif plan.a != tuple(float(x) for x in chars.a):
+    elif plan.a != (tuple(float(x) for x in chars.a),):
         raise ValueError("the truncation plan was made for other characteristics")
-    return _theta_sum(omega, plan, np.asarray(chars.b, dtype=float), zz)
+    return _theta_sum(omega, plan, np.asarray(chars.b, dtype=float), zz)[:, 0]
 
 
 def riemann_theta(

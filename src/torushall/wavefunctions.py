@@ -30,12 +30,12 @@ import numpy as np
 from .heisenberg import upsilon
 from .theta import (
     OmegaMatrix,
-    ThetaCharacteristics,
     TorusParams,
+    _theta_sum,
     jacobi_theta,
-    riemann_theta_batch,
     theta_odd,
     theta_odd_batch,
+    truncation_plan,
 )
 from .wen import PiElement, WenDatum, pi_add, pi_canonical
 
@@ -152,13 +152,19 @@ def center_basis_batch(
     spec: WaveFunctionSpec, c: PiElement, w, tol: float = 1e-12
 ) -> np.ndarray:
     """H_c at an (M, g) array of center points."""
+    return center_basis_values(spec, (c,), w, tol)[0]
+
+
+def center_basis_values(
+    spec: WaveFunctionSpec, cs: Sequence[PiElement], w, tol: float = 1e-12
+) -> np.ndarray:
+    """Every H_c, c in cs, at an (M, g) array of center points, in one lattice sum."""
     ww = np.asarray(w, dtype=complex)
     K = np.array(spec.datum.matrix.entries, dtype=float)
     arg = ww @ K.T + np.asarray(spec.xi, dtype=complex)[None, :]
-    chars = ThetaCharacteristics(
-        a=tuple(float(x) for x in c), b=(0.0,) * spec.g
-    )
-    return riemann_theta_batch(chars, arg, spec.omega(), tol)
+    omega = spec.omega()
+    plan = truncation_plan(omega, cs, tol)
+    return _theta_sum(omega, plan, np.zeros(spec.g), arg).T
 
 
 def jastrow_factor(
@@ -179,26 +185,16 @@ def jastrow_batch(
     layers: Sequence[np.ndarray],
     tol: float = 1e-12,
 ) -> np.ndarray:
-    """D at a batch of configurations, one (M, n_k) array per layer."""
-    K = datum.matrix.entries
-    g = datum.matrix.g
-    m_count = layers[0].shape[0]
-    out = np.ones(m_count, dtype=complex)
-    for k in range(g):
-        e = K[k][k]
-        if e:
-            nk = layers[k].shape[1]
-            for p in range(nk):
-                for q in range(p + 1, nk):
-                    out *= theta_odd_batch(layers[k][:, p] - layers[k][:, q], tau, tol) ** e
-    for k in range(g):
-        for l in range(k + 1, g):
-            e = K[k][l]
-            if e:
-                for p in range(layers[k].shape[1]):
-                    for q in range(layers[l].shape[1]):
-                        out *= theta_odd_batch(layers[k][:, p] - layers[l][:, q], tau, tol) ** e
-    return out
+    """D at a batch of configurations, one (M, n_k) array per layer.
+
+    Every coupled pair difference goes into one odd-theta evaluation.
+    """
+    z = np.concatenate(layers, axis=1)
+    owner = np.repeat(np.arange(datum.matrix.g), [layer.shape[1] for layer in layers])
+    p, q = np.triu_indices(z.shape[1], 1)
+    power = np.array(datum.matrix.entries)[owner[p], owner[q]]
+    p, q, power = p[power != 0], q[power != 0], power[power != 0]
+    return np.prod(theta_odd_batch(z[:, p] - z[:, q], tau, tol) ** power, axis=1)
 
 
 def kvw_wavefunction(
@@ -306,12 +302,10 @@ def magnetic_action_residual(
     return worst
 
 
-def random_configuration(
-    datum: WenDatum, rng: np.random.Generator, box: float = 0.8
-) -> Configuration:
-    """A configuration with coordinates in a box around the cell center."""
+def random_configuration(spec: WaveFunctionSpec, rng: np.random.Generator) -> Configuration:
+    """A configuration drawn uniformly from the unit cell: z = x + tau y, x and y in [0, 1)."""
     layers = []
-    for nk in datum.n_vec:
-        pts = box * (rng.random(nk) - 0.5) + 1j * box * (rng.random(nk) - 0.5)
+    for nk in spec.datum.n_vec:
+        pts = rng.random(nk) + spec.torus.tau * rng.random(nk)
         layers.append(tuple(complex(z) for z in pts))
     return Configuration(tuple(layers))

@@ -302,6 +302,31 @@ class TestGramManybody:
         verdicts = [r["verdict"] for r in checks.gram_manybody_records(report)]
         assert verdicts == ["FAIL", "FAIL"]
 
+    @pytest.mark.parametrize("m,n", [(3, 6), (2, 7)])
+    def test_laughlin_gram_finite(self, m, n):
+        # these sizes reach theta arguments whose unreduced phases overflow
+        spec = WaveFunctionSpec(
+            datum=validate_wen_datum(validate_wen_matrix([[m]]), (n,)),
+            xi=(0j,),
+            torus=TorusParams(1j),
+        )
+        report = gram_manybody(spec, QuadratureSpec(scheme="qmc", samples=1 << 13, seed=0))
+        gmat = report.matrix
+        assert np.all(np.isfinite(gmat)) and np.all(np.isfinite(report.stderr))
+        assert np.max(np.abs(gmat - gmat.conj().T)) <= 1e-12 * np.max(np.abs(gmat))
+
+    def test_values_finite_over_unit_cell(self):
+        from torushall.gram import _manybody_basis, _manybody_values
+
+        spec = WaveFunctionSpec(
+            datum=validate_wen_datum(validate_wen_matrix([[3]]), (6,)),
+            xi=(0j,),
+            torus=TorusParams(1j),
+        )
+        pts = np.random.default_rng(0).random((4096, 12))
+        weight, values = _manybody_values(spec, pts, _manybody_basis(spec), 1e-12)
+        assert np.all(np.isfinite(weight)) and np.all(np.isfinite(values))
+
     def test_two_layer_scalar(self):
         # three-dimensional basis over a 4-dimensional sample space
         K = jain_matrix(1, 2)

@@ -15,16 +15,21 @@ jacobi_theta(0.5, 0, -0.3125+1j, -0.40625+0.5j, tol=1e-14) is 4.5e-13 from
 the reference, with |theta| < 1 and P = exp(2 pi).
 
 Inputs are drawn from Im tau in [0.5, 2], |Re tau|, |Re z|, |a|, |b| <= 0.5
-and |Im z| <= 1, with Omega drawn by checks.random_omega.  Large Im z, where
-the double-precision phase and coefficient overflow against each other and
-the sum turns into NaN, is left out until theta is made overflow-safe.
+and |Im z| <= 1, with Omega drawn by checks.random_omega.
+
+Large Im z is drawn separately: |Im z| <= 20 and Im tau in [0.3, 2], kept
+to pi y' Y^-1 y < 690 so that the value is representable.  There the bound
+is checked at tol = 1e-12 only.  The value's size exp(pi y' Y^-1 y) comes
+from an exponent of up to 690 whose own double rounding, about 690 * eps,
+is already above 1e-14 relative; at tol = 1e-14 the lattice-reduced sum
+measures up to about 12 times the bound there.
 """
 
 import math
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torushall.checks import random_omega
 from torushall.theta import ThetaCharacteristics, jacobi_theta, riemann_theta
@@ -34,6 +39,8 @@ DPS = 50
 
 half = st.floats(-0.5, 0.5)
 im_z = st.floats(-1.0, 1.0)
+big_im_z = st.floats(-20.0, 20.0)
+MAX_EXPONENT = 690.0  # pi y' Y^-1 y below log(max double) ~ 709.8
 
 
 def jacobi_reference(a: float, b: float, z: complex, tau: complex) -> mpmath.mpc:
@@ -84,38 +91,59 @@ def assert_within(got: complex, ref: mpmath.mpc, tol: float, peak: float) -> Non
     assert err <= tol * scale, f"error {err:.3e} > {tol:.0e} * {scale:.3e}"
 
 
+def _check_jacobi(a, b, re_z, im_z, re_tau, im_tau, tols):
+    z, tau = complex(re_z, im_z), complex(re_tau, im_tau)
+    ref = jacobi_reference(a, b, z, tau)
+    peak = math.exp(math.pi * im_z**2 / im_tau)
+    for tol in tols:
+        assert_within(jacobi_theta(a, b, z, tau, tol), ref, tol, peak)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     a=half, b=half, re_z=half, im_z=im_z, re_tau=half, im_tau=st.floats(0.5, 2.0)
 )
 def test_jacobi_within_tol_of_mpmath(a, b, re_z, im_z, re_tau, im_tau):
-    z, tau = complex(re_z, im_z), complex(re_tau, im_tau)
-    ref = jacobi_reference(a, b, z, tau)
-    peak = math.exp(math.pi * im_z**2 / im_tau)
-    for tol in TOLS:
-        assert_within(jacobi_theta(a, b, z, tau, tol), ref, tol, peak)
+    _check_jacobi(a, b, re_z, im_z, re_tau, im_tau, TOLS)
 
 
-def _riemann_case(g: int):
+@settings(max_examples=40, deadline=None)
+@given(
+    a=half, b=half, re_z=half, im_z=big_im_z, re_tau=half, im_tau=st.floats(0.3, 2.0)
+)
+def test_jacobi_large_im_z_within_tol_of_mpmath(a, b, re_z, im_z, re_tau, im_tau):
+    assume(math.pi * im_z**2 / im_tau < MAX_EXPONENT)
+    _check_jacobi(a, b, re_z, im_z, re_tau, im_tau, (1e-12,))
+
+
+def test_jacobi_pinned_large_value():
+    # |theta| ~ 1e110; unreduced, the phases exp(2 pi i (k+a) z) overflow here
+    got = jacobi_theta(0.3, 0.1, 0.2 + 9j, 1j)
+    assert_within(got, jacobi_reference(0.3, 0.1, 0.2 + 9j, 1j), 1e-12, math.exp(81 * math.pi))
+    assert 1e109 < abs(got) < 1e111
+
+
+def _riemann_case(g: int, heights=im_z):
     vec = st.lists(half, min_size=g, max_size=g)
     return dict(
         seed=st.integers(0, 2**32 - 1),
         a=vec,
         b=vec,
         re_z=vec,
-        im_z=st.lists(im_z, min_size=g, max_size=g),
+        im_z=st.lists(heights, min_size=g, max_size=g),
     )
 
 
-def _check_riemann(seed, a, b, re_z, im_z):
+def _check_riemann(seed, a, b, re_z, im_z, tols=TOLS):
     om = random_omega(np.random.default_rng(seed), len(a))
-    chars = ThetaCharacteristics(a=tuple(a), b=tuple(b))
-    z = np.array(re_z) + 1j * np.array(im_z)
-    ref = lattice_reference(a, b, z, om.omega)
     y = np.array(im_z)
-    peak = math.exp(math.pi * y @ np.linalg.solve(om.omega.imag, y))
-    for tol in TOLS:
-        assert_within(riemann_theta(chars, z, om, tol), ref, tol, peak)
+    exponent = math.pi * y @ np.linalg.solve(om.omega.imag, y)
+    assume(exponent < MAX_EXPONENT)
+    chars = ThetaCharacteristics(a=tuple(a), b=tuple(b))
+    z = np.array(re_z) + 1j * y
+    ref = lattice_reference(a, b, z, om.omega)
+    for tol in tols:
+        assert_within(riemann_theta(chars, z, om, tol), ref, tol, math.exp(exponent))
 
 
 @settings(max_examples=15, deadline=None)
@@ -128,3 +156,9 @@ def test_riemann_g2_within_tol_of_lattice_sum(seed, a, b, re_z, im_z):
 @given(**_riemann_case(3))
 def test_riemann_g3_within_tol_of_lattice_sum(seed, a, b, re_z, im_z):
     _check_riemann(seed, a, b, re_z, im_z)
+
+
+@settings(max_examples=15, deadline=None)
+@given(**_riemann_case(2, big_im_z))
+def test_riemann_g2_large_im_z_within_tol_of_lattice_sum(seed, a, b, re_z, im_z):
+    _check_riemann(seed, a, b, re_z, im_z, (1e-12,))

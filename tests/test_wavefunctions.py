@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
 
+from torushall import checks
 from torushall.heisenberg import upsilon
-from torushall.theta import TorusParams, jacobi_theta, theta_odd
+from torushall.theta import (
+    ThetaCharacteristics,
+    TorusParams,
+    jacobi_theta,
+    riemann_theta_batch,
+    theta_odd,
+    theta_odd_batch,
+)
 from torushall.wavefunctions import (
     Configuration,
     IndexOutOfRangeError,
     ShapeMismatchError,
     WaveFunctionSpec,
     center_basis,
+    center_basis_values,
     hr_wavefunction,
+    jastrow_batch,
     jastrow_factor,
     kvw_wavefunction,
     lattice_shift_factor,
@@ -149,7 +159,7 @@ class TestKvwWavefunction:
         spec = _spec([[m]], (n,), (0.1 + 0.2j,))
         grp = pi_group(spec.datum.matrix)
         for j, c in enumerate(grp.elements, start=1):
-            config = random_configuration(spec.datum, rng)
+            config = random_configuration(spec, rng)
             got = kvw_wavefunction(spec, c, config)
             want = hr_wavefunction(m, n, spec.xi[0], spec.torus, j, config.layers[0])
             assert _residual(got, want) < 1e-12
@@ -157,7 +167,7 @@ class TestKvwWavefunction:
     def test_factorizes_exactly(self, rng):
         spec = _spec([[2, 1], [1, 2]], (2, 2), (0.05j, 0.1))
         c = pi_group(spec.datum.matrix).elements[1]
-        config = random_configuration(spec.datum, rng)
+        config = random_configuration(spec, rng)
         whole = kvw_wavefunction(spec, c, config)
         parts = center_basis(spec, c, config.w()) * jastrow_factor(
             spec.datum, spec.torus, config
@@ -172,7 +182,7 @@ class TestKvwWavefunction:
         spec = _spec(kmat, nvec, tuple(0.1 + 0.1j for _ in nvec))
         grp = pi_group(spec.datum.matrix)
         for _ in range(20):
-            config = random_configuration(spec.datum, rng)
+            config = random_configuration(spec, rng)
             c = grp.elements[rng.integers(0, len(grp))]
             k = int(rng.integers(0, len(nvec)))
             p = int(rng.integers(0, nvec[k]))
@@ -241,7 +251,7 @@ class TestMagneticAction:
         for c in pi_group(K).elements:
             ratios = []
             for _ in range(5):
-                config = random_configuration(spec.datum, rng)
+                config = random_configuration(spec, rng)
                 base = kvw_wavefunction(spec, c, config)
                 moved = magnetic_translation(
                     spec, "t1", lambda cfg: kvw_wavefunction(spec, c, cfg), config
@@ -253,7 +263,7 @@ class TestMagneticAction:
     def test_residuals_single_layer(self, rng):
         spec = _spec([[2]], (2,), (0.3 - 0.1j,), tau=TorusParams(1j))
         grp = pi_group(spec.datum.matrix)
-        configs = [random_configuration(spec.datum, rng) for _ in range(20)]
+        configs = [random_configuration(spec, rng) for _ in range(20)]
         for c in grp.elements:
             assert magnetic_action_residual(spec, c, "t1", configs) < 1e-9
             assert magnetic_action_residual(spec, c, "t2", configs) < 1e-9
@@ -261,7 +271,7 @@ class TestMagneticAction:
     def test_residuals_two_layer(self, rng):
         spec = _spec([[2, 1], [1, 2]], (1, 1), (0.1 + 0.2j, -0.05 + 0.1j))
         grp = pi_group(spec.datum.matrix)
-        configs = [random_configuration(spec.datum, rng) for _ in range(10)]
+        configs = [random_configuration(spec, rng) for _ in range(10)]
         for c in grp.elements:
             assert magnetic_action_residual(spec, c, "t1", configs) < 1e-9
             assert magnetic_action_residual(spec, c, "t2", configs) < 1e-9
@@ -270,7 +280,7 @@ class TestMagneticAction:
         # c = 0 pairs trivially with u, so T1 has eigenvalue 1 there
         spec = _spec([[3]], (1,), (0.2j,))
         zero = pi_group(spec.datum.matrix).elements[0]
-        config = random_configuration(spec.datum, rng)
+        config = random_configuration(spec, rng)
         base = kvw_wavefunction(spec, zero, config)
         moved = magnetic_translation(
             spec, "t1", lambda cfg: kvw_wavefunction(spec, zero, cfg), config
@@ -282,7 +292,7 @@ class TestMagneticAction:
         spec = _spec([[2, 1], [1, 2]], (1, 1), (0.1j, 0.2))
         K = spec.datum.matrix
         u = K.u_class()
-        config = random_configuration(spec.datum, rng)
+        config = random_configuration(spec, rng)
         c = pi_group(K).elements[1]
 
         def t2_iter(times, cfg):
@@ -300,3 +310,39 @@ class TestMagneticAction:
             want = kvw_wavefunction(spec, expect_c, config)
             assert _residual(got, want) < 1e-9
         assert expect_c == c  # delta steps close the orbit
+
+
+class TestBatchedEvaluation:
+    def test_all_cosets_match_one_characteristic_sums(self, rng):
+        spec = _spec([[3, 2], [2, 3]], (1, 1), (0.1 + 0.2j, -0.05j))
+        cs = pi_group(spec.datum.matrix).elements
+        w = rng.random((50, 2)) * 2 + spec.torus.tau * rng.random((50, 2)) * 2
+        arg = w @ np.array([[3.0, 2.0], [2.0, 3.0]]).T + np.array(spec.xi)
+        got = center_basis_values(spec, cs, w)
+        for c, row in zip(cs, got):
+            chars = ThetaCharacteristics(a=tuple(float(x) for x in c), b=(0.0, 0.0))
+            want = riemann_theta_batch(chars, arg, spec.omega())
+            assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_stacked_pairs_match_pair_loop(self, rng):
+        spec = _spec([[3, 1], [1, 3]], (2, 2), (0j, 0j))
+        layers = [rng.random((40, 2)) + spec.torus.tau * rng.random((40, 2)) for _ in range(2)]
+        want = np.ones(40, dtype=complex)
+        for k, l, e in ((0, 0, 3), (1, 1, 3), (0, 1, 1)):
+            for p in range(layers[k].shape[1]):
+                for q in range(layers[l].shape[1]):
+                    if k != l or p < q:
+                        want *= theta_odd_batch(layers[k][:, p] - layers[l][:, q], TAU) ** e
+        got = jastrow_batch(spec.datum, TAU, layers)
+        assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
+
+
+class TestUnitCellChecks:
+    @pytest.mark.parametrize("seed", [606, 707])
+    def test_laughlin_third_six_particles(self, seed):
+        # unit-cell configurations shifted by tau reach heights where the
+        # theta series of Phi_c overflows unless its argument is reduced
+        spec = _spec([[3]], (6,), (0.1 + 0.05j,), tau=TorusParams(1j))
+        records = checks.check_kvw_quasi_periodicity(spec, seed=seed)
+        records += checks.check_magnetic_action(spec, seed=seed)
+        assert [r["verdict"] for r in records] == ["PASS"] * 4, records
