@@ -14,10 +14,10 @@ the value of the Gaussian integral obtained by unfolding the lattice sum
 (for g = 1 this is the familiar (2 t delta)^{-1/2} exp(2 pi t a^2 / k)).
 
 Center-of-mass Gram matrices are computed by tensor Gauss-Legendre
-quadrature; the basis functions are evaluated on the grid through the
-separable structure of the theta series (every lattice term is a product
-of per-axis phase vectors), which turns the grid evaluation into one
-complex matrix product per basis element.  Many-body Gram matrices use
+quadrature without evaluating the basis on the grid: every lattice term
+has an integer frequency in x, so the x-sum of a pair of terms is a product
+of per-axis lookups in one 1-D Fourier table of the rule, and the y-sum is
+one complex matrix product per basis pair.  Many-body Gram matrices use
 either tensor quadrature (small particle numbers) or replicated scrambled
 Sobol sampling with replicate-mean standard errors.
 """
@@ -126,16 +126,16 @@ def metric_weight_g(K: WenMatrix, xi, tau: TorusParams | complex, z):
     """exp(-2 pi t (y, K y + 2 a)) for z an (..., g) array."""
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
     _, y = decompose(z, tp)
-    return _height_weight(K, xi, tp, y)
+    return np.exp(_log_height_weight(K, xi, tp, y))
 
 
-def _height_weight(K: WenMatrix, xi, tp: TorusParams, y: np.ndarray) -> np.ndarray:
-    """exp(-2 pi t (y'K y + 2 a.y)) at an (..., g) array of heights y, xi = b + tau a."""
+def _log_height_weight(K: WenMatrix, xi, tp: TorusParams, y: np.ndarray) -> np.ndarray:
+    """-2 pi t (y'K y + 2 a.y) at an (..., g) array of heights y, xi = b + tau a."""
     a = np.asarray(xi, dtype=complex).imag / tp.t
     kmat = np.array(K.entries, dtype=float)
     flat = y.reshape(-1, K.g)
     quad = np.einsum("ij,jk,ik->i", flat, kmat, flat).reshape(y.shape[:-1])
-    return np.exp(-2 * np.pi * tp.t * (quad + 2 * y @ a))
+    return -2 * np.pi * tp.t * (quad + 2 * y @ a)
 
 
 def kappa_closed_form(K: WenMatrix, xi, tau: TorusParams | complex) -> float:
@@ -203,7 +203,7 @@ def inner_product_center(
         nodes, wts = gauss_nodes_01(p)
         xg = yg = _tensor_grid(nodes, K.g)
         wx = _tensor_weights(wts, K.g)
-        wy = wx * _height_weight(K, xi, tp, yg)
+        wy = wx * np.exp(_log_height_weight(K, xi, tp, yg))
         total = 0.0 + 0.0j
         block = max(1, (1 << 22) // max(1, xg.shape[0]))
         for start in range(0, yg.shape[0], block):
@@ -225,44 +225,13 @@ def inner_product_center(
 
 
 # ---------------------------------------------------------------------------
-# center-of-mass Gram (separable fast path)
+# center-of-mass Gram from per-axis moment tables
 
-
-def _center_basis_grid(
-    K: WenMatrix,
-    xi,
-    tau: TorusParams,
-    cs: Sequence[PiElement],
-    xnodes: np.ndarray,
-    tol: float,
-):
-    """Values of every H_c on the tensor grid (x_i, y_j), as (x, y) matrices.
-
-    Each lattice term of Theta[c,0](K(x + tau y) + xi | tau K) has integer
-    frequency vector m = K(k + c), so its grid values factor into per-axis
-    phase vectors; stacking terms turns the evaluation into one matrix
-    product per basis element.  Yields (px, apy) per basis element, with
-    H_c on the grid equal to px.T @ apy.
-    """
-    kmat = np.array(K.entries, dtype=float)
-    omega = OmegaMatrix.create(tau.tau * kmat)
-    kinv_a = np.linalg.solve(kmat, np.asarray(xi, dtype=complex).imag / tau.t)
-    for c in cs:
-        cf = np.array([float(q) for q in c])
-        # term peaks sit at -c - y - K^{-1} a for heights y in [0, 1]^g
-        ks, coeff = lattice_terms(
-            omega, truncation_plan(omega, cf, tol), xi, -cf - 1 - kinv_a, -cf - kinv_a
-        )
-        ka = ks + cf[None, :]
-        m = np.rint(ka @ kmat.T)  # integral, because K c is
-        px = np.ones((len(ka), 1), dtype=complex)
-        py = np.ones((len(ka), 1), dtype=complex)
-        for j in range(K.g):
-            vx = np.exp(2j * np.pi * np.outer(m[:, j], xnodes))
-            vy = np.exp(2j * np.pi * tau.tau * np.outer(m[:, j], xnodes))
-            px = (px[:, :, None] * vx[:, None, :]).reshape(len(ka), -1)
-            py = (py[:, :, None] * vy[:, None, :]).reshape(len(ka), -1)
-        yield px, coeff * py
+# E entries below exp(_LOG_FLOOR) are set to 0, so that no product of two
+# kept entries is subnormal (subnormal operands slow the matrix product
+# about 9x).  A Gram entry over N x N terms loses less than N^2 p^g tiny^(1/2)
+# times the largest |E|, which is about 1.
+_LOG_FLOOR = 0.5 * math.log(np.finfo(float).tiny)
 
 
 def _gram_center_at(
@@ -273,32 +242,59 @@ def _gram_center_at(
     p: int,
     tol: float,
 ) -> np.ndarray:
+    """Tensor Gauss-Legendre Gram at p points per axis, with no value on the p^g x p^g grid.
+
+    Each lattice term of H_c = Theta[c,0](K(x + tau y) + xi | tau K) is
+    C_k exp(2 pi i m_k.x) exp(2 pi i tau m_k.y) with integer frequency
+    m_k = K(k + c).  The x-sum of a pair of terms is therefore
+    prod_axis F(m_ik - m_jl) with the 1-D table F(n) = sum_q w_q exp(2 pi i n x_q),
+    and the y-sum is the product E_i E_j^H, where
+    E_c[k, y] = C_k exp(2 pi i tau m_k.y) (w_y h(y))^(1/2) on the p^g height
+    nodes; splitting the weight keeps every entry at most about 1.
+    """
     nodes, wts = gauss_nodes_01(p)
-    wx = _tensor_weights(wts, K.g)
-    wy = wx * _height_weight(K, xi, tp, _tensor_grid(nodes, K.g))
-    blocks = list(_center_basis_grid(K, xi, tp, cs, nodes, tol))
+    ygrid = _tensor_grid(nodes, K.g)
+    log_wy = np.log(_tensor_weights(wts, K.g)) + _log_height_weight(K, xi, tp, ygrid)
+    kmat = np.array(K.entries, dtype=float)
+    omega = OmegaMatrix.create(tp.tau * kmat)
+    xiv = np.asarray(xi, dtype=complex)
+    kinv_a = np.linalg.solve(kmat, xiv.imag / tp.t)
+    terms = {}
+    for c in cs:
+        cf = np.array([float(q) for q in c])
+        # term peaks sit at -c - y - K^{-1} a for heights y in [0, 1]^g
+        ks, _ = lattice_terms(
+            omega, truncation_plan(omega, cf, tol), xi, -cf - 1 - kinv_a, -cf - kinv_a
+        )
+        ka = ks + cf[None, :]
+        m = np.rint(ka @ kmat.T)  # integral, because K c is
+        log_c = 1j * np.pi * (tp.tau * np.sum(ka * m, axis=1) + 2 * ka @ xiv)
+        e = (m @ ygrid.T) * (2j * np.pi * tp.tau)
+        e += log_c[:, None]
+        e += 0.5 * log_wy
+        dropped = e.real < _LOG_FLOOR
+        np.exp(e, out=e)
+        e[dropped] = 0
+        terms[c] = (m.astype(int), e)
+    # frequency differences lie in [-2 mmax, 2 mmax]; mmax depends on the set of cs only
+    mmax = max(int(np.abs(m).max()) for m, _ in terms.values())
+    ftab = np.exp(2j * np.pi * np.outer(np.arange(-2 * mmax, 2 * mmax + 1), nodes)) @ wts
+
+    def entry(ci: PiElement, cj: PiElement) -> complex:
+        (mi, ei), (mj, ej) = terms[ci], terms[cj]
+        amat = np.prod([ftab[mi[:, [a]] - mj[:, a] + 2 * mmax] for a in range(K.g)], axis=0)
+        return np.sum(amat * (ei @ ej.conj().T))
+
     d = len(cs)
-    gmat = np.zeros((d, d), dtype=complex)
-    mgrid = wy.size
-    step = max(1, (1 << 23) // mgrid)
-    for start in range(0, mgrid, step):
-        stop = min(start + step, mgrid)
-        hcs = [px.T @ apy[:, start:stop] for px, apy in blocks]
-        wyb = wy[start:stop]
-        for i in range(d):
-            wxh = wx @ (hcs[i] * np.conj(hcs[i]))
-            gmat[i, i] += wxh @ wyb
-            for j in range(i + 1, d):
-                # orient each pair by basis value, not slot, so a permuted
-                # ordering reproduces bit-identical estimates
-                lo_, hi_ = (i, j) if cs[i] <= cs[j] else (j, i)
-                val = (wx @ (hcs[lo_] * np.conj(hcs[hi_]))) @ wyb
-                gmat[lo_, hi_] += val
-        del hcs
+    gmat = np.empty((d, d), dtype=complex)
     for i in range(d):
-        for j in range(d):
-            if i != j and gmat[i, j] == 0:
-                gmat[i, j] = np.conj(gmat[j, i])
+        gmat[i, i] = entry(cs[i], cs[i]).real
+        for j in range(i + 1, d):
+            # orient each pair by basis value, not slot, so a permuted
+            # ordering reproduces bit-identical estimates
+            lo, hi = (i, j) if cs[i] <= cs[j] else (j, i)
+            gmat[lo, hi] = entry(cs[lo], cs[hi])
+            gmat[hi, lo] = np.conj(gmat[lo, hi])
     return gmat
 
 

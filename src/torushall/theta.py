@@ -39,9 +39,9 @@ product grid.  One (points x terms) @ (terms x characteristics) product
 then sums every characteristic; chunks of points keep the phase matrix
 near 2^16 entries.  `riemann_theta_batch` is the kernel for one
 characteristic, `jacobi_theta_batch` its g = 1 case with Omega = [[tau]].
-The center-of-mass Gram takes its box and coefficients from
-`lattice_terms` too.  No tol below MIN_TOL = 1e-14 is accepted: below it,
-rounding in double arithmetic alone can exceed the bound.
+The center-of-mass Gram takes its box from `lattice_terms` too.  No tol
+below MIN_TOL = 1e-14 is accepted: below it, rounding in double arithmetic
+alone can exceed the bound.
 """
 
 from __future__ import annotations

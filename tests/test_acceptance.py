@@ -84,7 +84,7 @@ def test_criterion_5_center_gram():
             records += checks.check_gram_center(K, xi, tau, points=48)
     elapsed = time.perf_counter() - start
     _report(
-        5, "center-of-mass Gram orthogonal and matching the closed form", records, elapsed, 60.0
+        5, "center-of-mass Gram orthogonal and matching the closed form", records, elapsed, 10.0
     )
 
 

@@ -150,6 +150,19 @@ class TestInnerProductCenter:
                 direct = inner_product_center(K, xi, tau, fns[i], fns[j], quad)
                 assert abs(direct - report.matrix[i, j]) < 1e-12
 
+    def test_matches_fast_path_two_layers(self):
+        # g = 2 takes the x-sum as a product of two per-axis table lookups
+        K = jain_matrix(1, 2)
+        tau = TorusParams(0.3 + 1.1j)
+        xi = (0.15 + 0.1j, -0.2 + 0.25j)  # nonzero a and b on both axes
+        quad = QuadratureSpec(points_per_axis=12)
+        report = gram_center(K, xi, tau, quad)
+        fns = [center_fn(K, xi, tau, c) for c in pi_group(K).elements]
+        for i in range(3):
+            for j in range(3):
+                direct = inner_product_center(K, xi, tau, fns[i], fns[j], quad)
+                assert abs(direct - report.matrix[i, j]) < 1e-12
+
     def test_coarse_grid_detected(self):
         K = validate_wen_matrix([[3]])
         fn = center_fn(K, (0j,), TorusParams(1j), pi_group(K).elements[0])
@@ -204,19 +217,26 @@ class TestGramCenter:
         report = gram_center(K, (0.1, 0.2j), TorusParams(1j))
         assert report.hermiticity < 1e-12
 
-    def test_permuted_basis_permutes_estimates(self):
+    @staticmethod
+    def _assert_permutes(K, xi):
         # re-ordering the basis by c -> c + u permutes the same estimates
-        K = validate_wen_matrix([[3]])
-        xi = (0.1 + 0.2j,)
         grp = pi_group(K)
         u = K.u_class()
         base = gram_center(K, xi, TorusParams(1j), ordering=grp.elements)
         shifted = tuple(pi_add(c, u) for c in grp.elements)
         perm = [grp.index_of(c) for c in shifted]
         moved = gram_center(K, xi, TorusParams(1j), ordering=shifted)
-        for i in range(3):
-            for j in range(3):
+        assert perm != list(range(K.delta))
+        for i in range(K.delta):
+            for j in range(K.delta):
                 assert moved.matrix[i, j] == base.matrix[perm[i], perm[j]]
+
+    def test_permuted_basis_permutes_estimates(self):
+        self._assert_permutes(validate_wen_matrix([[3]]), (0.1 + 0.2j,))
+
+    def test_permuted_basis_permutes_estimates_two_layers(self):
+        # the README datum: the x-moment table is shared by every pair
+        self._assert_permutes(validate_wen_matrix([[3, 2], [2, 3]]), (0.1 + 0.2j, 0j))
 
     def test_doubling_shift_small(self):
         K = validate_wen_matrix([[2]])
