@@ -229,7 +229,7 @@ def inner_product_center(
 
 # E entries below exp(_LOG_FLOOR) are set to 0, so that no product of two
 # kept entries is subnormal (subnormal operands slow the matrix product
-# about 9x).  A Gram entry over N x N terms loses less than N^2 p^g tiny^(1/2)
+# several-fold).  A Gram entry over N x N terms loses less than N^2 p^g tiny^(1/2)
 # times the largest |E|, which is about 1.
 _LOG_FLOOR = 0.5 * math.log(np.finfo(float).tiny)
 
