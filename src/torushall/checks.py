@@ -242,15 +242,12 @@ def check_heisenberg(datum: wen.WenDatum) -> list[dict]:
         np.max(np.abs(t1 @ t1.conj().T - np.eye(K.delta))),
         np.max(np.abs(t2 @ t2.conj().T - np.eye(K.delta))),
     )
-    out = [
+    return [
         record("heisenberg.relations", _exact(relations_ok)),
         record("heisenberg.unitarity", unit),
         record("heisenberg.primitivity", _exact(rep.q_is_primitive() == K.primary)),
+        record("heisenberg.character_norm", abs(heisenberg.irreducibility_norm(K) - 1.0)),
     ]
-    if K.delta <= 7:
-        norm = heisenberg.irreducibility_norm(K)
-        out.append(record("heisenberg.character_norm", abs(norm - 1.0)))
-    return out
 
 
 def gram_center_records(
@@ -271,15 +268,13 @@ def check_gram_center(
     return [orthogonal, record("gram.center_scalar", report.diag_spread), kappa]
 
 
-def gram_manybody_records(
-    report: gram.GramReport, rel_tol: float | None = None
-) -> list[dict]:
+def gram_manybody_records(report: gram.GramReport) -> list[dict]:
     """Scalarness of a many-body Gram matrix; QMC reports add the sigma test.
 
-    ``rel_tol`` bounds the relative off-diagonal size and diagonal spread.
+    The scalar record bounds the relative off-diagonal size and diagonal spread.
     """
     deviation = _worst(report.offdiag_ratio, report.diag_spread)
-    out = [record("gram.manybody_scalar", deviation, rel_tol)]
+    out = [record("gram.manybody_scalar", deviation)]
     if report.offdiag_sigmas is not None:
         sigmas = _worst(report.offdiag_sigmas, report.diag_pair_sigmas)
         out.append(record("gram.manybody_sigma", sigmas))

@@ -320,7 +320,6 @@ def gram_center(
     quad: QuadratureSpec | None = None,
     ordering: Sequence[PiElement] | None = None,
     tol: float = DEFAULT_TOL,
-    check_tol: float | None = None,
 ) -> GramReport:
     """Gram matrix of the center-of-mass theta basis by tensor quadrature.
 
@@ -339,10 +338,6 @@ def gram_center(
     gmat = _gram_center_at(K, xi, tp, cs, p, tol)
     coarse = _gram_center_at(K, xi, tp, cs, max(2, p // 2), tol)
     shift = float(np.max(np.abs(gmat - coarse)))
-    if check_tol is not None and shift > check_tol:
-        raise QuadratureTooCoarseError(
-            f"halving the grid moved Gram entries by {shift:.3e} > {check_tol:.3e}"
-        )
     kappa = kappa_closed_form(K, xi, tp)
     mean_diag, offratio, spread, herm = _report_stats(gmat)
     return GramReport(
@@ -409,7 +404,6 @@ def _manybody_values(
 def gram_manybody(
     spec: WaveFunctionSpec,
     quad: QuadratureSpec | None = None,
-    rel_tol: float | None = None,
     tol: float = DEFAULT_TOL,
 ) -> GramReport:
     """Gram matrix of the many-body basis under the product metric.
@@ -418,8 +412,7 @@ def gram_manybody(
     budget, otherwise replicated scrambled Sobol sampling; QMC reports
     replicate-mean standard errors and sigma-normalized scalarness checks.
     The verdict ``scalar_pass`` comes from the many-body records of
-    :mod:`torushall.checks`, with ``rel_tol`` (default: the table's) bounding
-    the relative deviation; it is only set for primary matrices, for others
+    :mod:`torushall.checks`; it is only set for primary matrices, for others
     the deviations are reported without a verdict.
     """
     quad = quad or QuadratureSpec()
@@ -471,7 +464,7 @@ def gram_manybody(
     if spec.datum.matrix.primary:
         from .checks import gram_manybody_records, passed  # checks imports this module
 
-        report.records = gram_manybody_records(report, rel_tol)
+        report.records = gram_manybody_records(report)
         report.scalar_pass = passed(report.records)
     return report
 

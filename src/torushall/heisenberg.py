@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -209,43 +209,18 @@ def rep_matrices(datum: WenDatum, ordering: str = "auto") -> RepMatrices:
     )
 
 
-def standard_representation(
-    K: WenMatrix,
-) -> Callable[[PiElement, PiElement, int], np.ndarray]:
-    """Matrices of ((a, b), gamma) -> gamma R_b S_a on the coset-ordered basis.
-
-    S_a is diagonal with entries upsilon(a, c); R_b permutes c -> c + b; the
-    central root of unity gamma (given by its exponent) scales the whole
-    matrix.
-    """
-    group = pi_group(K)
-    basis = group.elements
-
-    def rep(a: PiElement, b: PiElement, gamma: int) -> np.ndarray:
-        mat = np.zeros((K.delta, K.delta), dtype=complex)
-        for i, c in enumerate(basis):
-            mat[group.index_of(pi_add(c, b)), i] = upsilon(a, c, K)
-        return root_of_unity(gamma, K.delta) * mat
-
-    return rep
-
-
-def character_norm(
-    K: WenMatrix, rep: Callable[[PiElement, PiElement, int], np.ndarray]
-) -> float:
-    """(chi, chi) = (1/delta^3) sum over all delta^3 group elements of |trace|^2."""
-    group = pi_group(K)
-    d = K.delta
-    acc = 0.0
-    for a in group:
-        for b in group:
-            for gamma in range(d):
-                acc += abs(np.trace(rep(a, b, gamma))) ** 2
-    return acc / d**3
-
-
 def irreducibility_norm(K: WenMatrix) -> float:
-    """Character norm of the standard representation; 1.0 when irreducible."""
-    if K.delta > 10:
-        raise ValueError("character sum is capped at delta <= 10")
-    return character_norm(K, standard_representation(K))
+    """Character norm (chi, chi) of the standard representation, exactly.
+
+    The standard representation sends ((a, b), gamma) to gamma R_b S_a, with
+    S_a = diag(upsilon(a, c)) and R_b: c -> c + b on the delta cosets c.  Its
+    trace vanishes unless b = 0, where it is gamma sum_c upsilon(a, c): delta
+    when upsilon(a, .) is trivial and 0 otherwise.  The mean of |trace|^2 over
+    the delta^3 group elements is therefore the size of the radical
+    {a : upsilon(a, c) = 1 for all c}, counted here in exponent arithmetic;
+    it is 1.0 exactly when the representation is irreducible.
+    """
+    group = pi_group(K).elements
+    return float(
+        sum(all(upsilon_exponent(a, c, K) == 0 for c in group) for a in group)
+    )

@@ -54,17 +54,9 @@ class Configuration:
 
     layers: tuple[tuple[complex, ...], ...]
 
-    @classmethod
-    def from_nested(cls, nested: Sequence[Sequence[complex]]) -> "Configuration":
-        return cls(tuple(tuple(complex(z) for z in layer) for layer in nested))
-
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.layers)
-
-    @property
-    def n(self) -> int:
-        return sum(self.sizes)
 
     def w(self) -> np.ndarray:
         """Per-layer coordinate sums, recomputed on every call."""

@@ -8,21 +8,44 @@ from torushall.heisenberg import (
     HeisenbergElement,
     NonCyclicBasisOrderError,
     RepMatrices,
-    character_norm,
     identity_element,
     inverse,
     irreducibility_norm,
     multiply,
     rep_matrices,
-    standard_representation,
+    upsilon,
     upsilon_exponent,
 )
 from torushall.wen import (
     jain_matrix,
+    pi_add,
     pi_group,
     validate_wen_datum,
     validate_wen_matrix,
 )
+
+
+# the coupling matrices of acceptance criterion 4
+CRITERION_4_MATRICES = (
+    [validate_wen_matrix([[k]]) for k in range(1, 13)]
+    + [jain_matrix(p, g) for p, g in ((1, 2), (2, 2), (1, 4), (2, 5), (1, 11), (1, 6))]
+    + [validate_wen_matrix([[2, 0], [0, 2]])]
+)
+
+
+def _dense_schur_sum(K):
+    grp = pi_group(K)
+    d = K.delta
+    total = 0.0
+    for a in grp:
+        for b in grp:
+            mat = np.zeros((d, d), dtype=complex)
+            for i, c in enumerate(grp):
+                mat[grp.index_of(pi_add(c, b)), i] = upsilon(a, c, K)
+            trace = np.trace(mat)
+            # gamma ranges over the delta roots of unity; |gamma trace|^2 = |trace|^2
+            total += d * abs(trace) ** 2
+    return total / d**3
 
 
 def _random_element(rng, grp, delta):
@@ -58,8 +81,6 @@ class TestUpsilon:
             assert upsilon_exponent(a, b, K) == upsilon_exponent(b, a, K)
 
     def test_biadditive(self, rng):
-        from torushall.wen import pi_add
-
         K = random_wen_matrix(rng, gmax=3)
         grp = pi_group(K)
         for _ in range(20):
@@ -112,8 +133,6 @@ class TestGroupLaw:
     def test_cocycle_conditions(self, rng):
         # omega(c1,c2) omega(c1+c2,c3) = omega(c2,c3) omega(c1,c2+c3), and
         # omega(c,0) = 1 = omega(0,c), as exponents mod delta
-        from torushall.wen import pi_add
-
         K = random_wen_matrix(rng, gmax=3)
         grp = pi_group(K)
 
@@ -254,35 +273,32 @@ class TestCharacterNorm:
     def test_non_primary_still_irreducible(self):
         assert abs(irreducibility_norm(validate_wen_matrix([[2, 0], [0, 2]])) - 1.0) < 1e-10
 
-    def test_doubled_representation(self):
-        # Schur orthogonality oracle: the norm is the sum of squared
-        # multiplicities, so two copies of one irreducible give 2^2 = 4
-        K = validate_wen_matrix([[3]])
-        single = standard_representation(K)
+    def test_matches_dense_schur_sum(self):
+        # test-local oracle: (chi, chi) = delta^-3 sum |tr gamma R_b S_a|^2 over
+        # all delta^3 elements, with the traces formed from dense matrices
+        for K in CRITERION_4_MATRICES:
+            if K.delta > 7:
+                continue
+            assert abs(irreducibility_norm(K) - _dense_schur_sum(K)) < 1e-12
 
-        def doubled(a, b, gamma):
-            m = single(a, b, gamma)
-            top = np.hstack([m, np.zeros_like(m)])
-            bot = np.hstack([np.zeros_like(m), m])
-            return np.vstack([top, bot])
+    def test_doubled_pairing_counts_its_radical(self, monkeypatch):
+        from torushall import checks, heisenberg
 
-        assert abs(character_norm(K, doubled) - 4.0) < 1e-10
+        exact = heisenberg.upsilon_exponent
+        monkeypatch.setattr(
+            heisenberg,
+            "upsilon_exponent",
+            lambda a, b, K: 2 * exact(a, b, K) % K.delta,
+        )
+        norm = irreducibility_norm(validate_wen_matrix([[4]]))
+        assert norm == 2.0
+        assert checks.record("heisenberg.character_norm", abs(norm - 1.0))["verdict"] == "FAIL"
+        assert irreducibility_norm(validate_wen_matrix([[2, 0], [0, 2]])) == 4.0
 
-    def test_sum_of_distinct_irreducibles_is_two(self):
-        # the conjugate representation has the conjugate central character,
-        # hence is inequivalent for delta > 2; 1^2 + 1^2 = 2
-        K = validate_wen_matrix([[3]])
-        single = standard_representation(K)
-
-        def mixed(a, b, gamma):
-            m = single(a, b, gamma)
-            m2 = np.conj(m)
-            top = np.hstack([m, np.zeros_like(m)])
-            bot = np.hstack([np.zeros_like(m2), m2])
-            return np.vstack([top, bot])
-
-        assert abs(character_norm(K, mixed) - 2.0) < 1e-10
-
-    def test_rejects_large_delta(self):
-        with pytest.raises(ValueError):
-            irreducibility_norm(validate_wen_matrix([[11]]))
+    @pytest.mark.parametrize(
+        "K",
+        [jain_matrix(50, 2), validate_wen_matrix([[20, 0], [0, 20]])],
+        ids=["jain50_2", "diag20"],
+    )
+    def test_exact_beyond_dense_reach(self, K):
+        assert irreducibility_norm(K) == 1.0
