@@ -271,7 +271,8 @@ def check_gram_center(
 def gram_manybody_records(report: gram.GramReport) -> list[dict]:
     """Scalarness of a many-body Gram matrix; QMC reports add the sigma test.
 
-    The scalar record bounds the relative off-diagonal size and diagonal spread.
+    The scalar record measures the larger of the relative off-diagonal size
+    and the relative diagonal spread.
     """
     deviation = _worst(report.offdiag_ratio, report.diag_spread)
     out = [record("gram.manybody_scalar", deviation)]
