@@ -307,7 +307,9 @@ def cmd_verify_all(args) -> int:
 FLAGS = {
     "input": dict(required=True, help="input document (JSON or matrix text)"),
     "tol": dict(type=float, default=1e-12, help="series tolerance (at least 1e-14)"),
-    "points": dict(type=int, default=48, help="quadrature points per axis"),
+    "points": dict(
+        type=int, default=gram.QuadratureSpec.points_per_axis, help="quadrature points per axis"
+    ),
     "samples": dict(type=int, default=1 << 20, help="QMC sample total"),
     "seed": dict(type=int, default=0, help="random seed"),
 }

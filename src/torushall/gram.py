@@ -32,7 +32,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .theta import OmegaMatrix, TorusParams, lattice_terms, truncation_plan
-from .wavefunctions import WaveFunctionSpec, center_basis_values, jastrow_batch
+from .wavefunctions import WaveFunctionSpec, phi_values
 from .wavefunctions import center_basis_batch  # noqa: F401  bench/test_bench.py wraps it here
 from .wen import PiElement, WenMatrix, pi_group, pi_scale
 
@@ -118,22 +118,25 @@ def metric_weight_1d(k: int, xi: complex, tau: TorusParams | complex, z):
     """exp(-2 pi k t y^2 - 4 pi a t y) with z = x + tau y, xi = b + tau a."""
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
     _, y = decompose(z, tp)
-    a = complex(xi).imag / tp.t
-    return np.exp(-2 * np.pi * k * tp.t * y**2 - 4 * np.pi * a * tp.t * y)
+    return np.exp(_log_height_weight([[k]], [xi], tp, y[..., None]))
 
 
 def metric_weight_g(K: WenMatrix, xi, tau: TorusParams | complex, z):
     """exp(-2 pi t (y, K y + 2 a)) for z an (..., g) array."""
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
     _, y = decompose(z, tp)
-    return np.exp(_log_height_weight(K, xi, tp, y))
+    return np.exp(_log_height_weight(K.entries, xi, tp, y))
 
 
-def _log_height_weight(K: WenMatrix, xi, tp: TorusParams, y: np.ndarray) -> np.ndarray:
-    """-2 pi t (y'K y + 2 a.y) at an (..., g) array of heights y, xi = b + tau a."""
+def _log_height_weight(kmat, xi, tp: TorusParams, y: np.ndarray) -> np.ndarray:
+    """-2 pi t (y'K y + 2 a.y) at an (..., m) array of heights y, xi = b + tau a.
+
+    kmat is the m x m form: the coupling matrix for the center-of-mass metric,
+    d I_n with each particle's xi taken from its layer for the many-body one.
+    """
     a = np.asarray(xi, dtype=complex).imag / tp.t
-    kmat = np.array(K.entries, dtype=float)
-    flat = y.reshape(-1, K.g)
+    kmat = np.asarray(kmat, dtype=float)
+    flat = y.reshape(-1, kmat.shape[0])
     quad = np.einsum("ij,jk,ik->i", flat, kmat, flat).reshape(y.shape[:-1])
     return -2 * np.pi * tp.t * (quad + 2 * y @ a)
 
@@ -203,7 +206,7 @@ def inner_product_center(
         nodes, wts = gauss_nodes_01(p)
         xg = yg = _tensor_grid(nodes, K.g)
         wx = _tensor_weights(wts, K.g)
-        wy = wx * np.exp(_log_height_weight(K, xi, tp, yg))
+        wy = wx * np.exp(_log_height_weight(K.entries, xi, tp, yg))
         total = 0.0 + 0.0j
         block = max(1, (1 << 22) // max(1, xg.shape[0]))
         for start in range(0, yg.shape[0], block):
@@ -254,7 +257,7 @@ def _gram_center_at(
     """
     nodes, wts = gauss_nodes_01(p)
     ygrid = _tensor_grid(nodes, K.g)
-    log_wy = np.log(_tensor_weights(wts, K.g)) + _log_height_weight(K, xi, tp, ygrid)
+    log_wy = np.log(_tensor_weights(wts, K.g)) + _log_height_weight(K.entries, xi, tp, ygrid)
     kmat = np.array(K.entries, dtype=float)
     omega = OmegaMatrix.create(tp.tau * kmat)
     xiv = np.asarray(xi, dtype=complex)
@@ -379,26 +382,11 @@ def _manybody_values(
     the owning layer's xi.
     """
     datum = spec.datum
-    tau = spec.torus
     n = datum.n
-    xs = pts[:, :n]
     ys = pts[:, n:]
-    zs = xs + tau.tau * ys
-    a_vec, _ = spec.xi_characteristics()
-    weight = np.ones(pts.shape[0])
-    layers = []
-    start = 0
-    for k, nk in enumerate(datum.n_vec):
-        yk = ys[:, start : start + nk]
-        layers.append(zs[:, start : start + nk])
-        weight *= np.exp(
-            -2 * np.pi * datum.d * tau.t * np.sum(yk**2, axis=1)
-            - 4 * np.pi * a_vec[k] * tau.t * np.sum(yk, axis=1)
-        )
-        start += nk
-    w = np.stack([layer.sum(axis=1) for layer in layers], axis=-1)
-    values = center_basis_values(spec, basis, w, tol) * jastrow_batch(datum, tau, layers, tol)
-    return weight, values
+    xi = np.repeat(np.asarray(spec.xi, dtype=complex), datum.n_vec)
+    weight = np.exp(_log_height_weight(datum.d * np.eye(n), xi, spec.torus, ys))
+    return weight, phi_values(spec, basis, pts[:, :n] + spec.torus.tau * ys, tol)
 
 
 def gram_manybody(

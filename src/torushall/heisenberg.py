@@ -45,17 +45,17 @@ class NonCyclicBasisOrderError(ValueError):
 def upsilon_exponent(a: Sequence[Fraction], b: Sequence[Fraction], K: WenMatrix) -> int:
     """Integer m with upsilon(a, b) = exp(2 pi i m / delta), exactly.
 
-    a' K b is a rational with denominator dividing delta whenever a and b
-    lie in K^{-1}Z^g, so m = delta * a' K b is an integer.
+    For a and b in K^{-1}Z^g, A = delta a and B = delta b are integer vectors
+    and m = delta a'K b = A'K B / delta is an integer; both are checked, in
+    Python ints.
     """
-    acc = Fraction(0)
-    for i in range(K.g):
-        for j in range(K.g):
-            acc += Fraction(a[i]) * K.entries[i][j] * Fraction(b[j])
-    m = acc * K.delta
-    if m.denominator != 1:
+    d, g = K.delta, K.g
+    scaled = [divmod(x.numerator * d, x.denominator) for x in (*a, *b)]
+    A, B = [q for q, _ in scaled[:g]], [q for q, _ in scaled[g:]]
+    m, rem = divmod(sum(A[i] * K.entries[i][j] * B[j] for i in range(g) for j in range(g)), d)
+    if rem or any(r for _, r in scaled):
         raise ValueError("arguments do not lie in K^{-1}Z^g")
-    return int(m) % K.delta
+    return m % d
 
 
 def upsilon(a: Sequence[Fraction], b: Sequence[Fraction], K: WenMatrix) -> complex:

@@ -202,6 +202,14 @@ class TestCli:
         assert "magnetic.t2_shift" in out
         assert "bundle.dual_pairing" in out
 
+    def test_verify_all_magnetic_beyond_delta_five(self, tmp_path, capsys):
+        # jain(3, 2) has delta = 7; every datum gets both magnetic records
+        path = tmp_path / "jain32.json"
+        path.write_text(json.dumps({"K": [[4, 3], [3, 4]], "n": [1, 1]}))
+        assert main(["verify-all", "--input", str(path), "--points", "24", "--format", "json"]) == 0
+        verdicts = {c["name"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert verdicts["magnetic.t1_eigenvalue"] == verdicts["magnetic.t2_shift"] == "PASS"
+
     def test_sampling_budget_exit_two(self, readme_doc, capsys):
         # 64^4 points times 5 basis functions exceeds the default budget
         assert main(["gram-center", "--input", readme_doc, "--points", "64"]) == 2

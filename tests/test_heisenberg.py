@@ -48,6 +48,16 @@ def _dense_schur_sum(K):
     return total / d**3
 
 
+def _fraction_exponent(a, b, K):
+    """delta a'K b mod delta in Fraction arithmetic, the formula's direct reading."""
+    acc = sum(
+        Fraction(a[i]) * K.entries[i][j] * Fraction(b[j]) for i in range(K.g) for j in range(K.g)
+    )
+    m = acc * K.delta
+    assert m.denominator == 1
+    return int(m) % K.delta
+
+
 def _random_element(rng, grp, delta):
     return HeisenbergElement(
         a=grp.elements[rng.integers(0, len(grp))],
@@ -73,12 +83,21 @@ class TestUpsilon:
                 assert e == (j * l) % k
 
     def test_symmetric(self, rng):
-        K = random_wen_matrix(rng, gmax=3)
-        grp = pi_group(K)
-        for _ in range(20):
-            a = grp.elements[rng.integers(0, len(grp))]
-            b = grp.elements[rng.integers(0, len(grp))]
-            assert upsilon_exponent(a, b, K) == upsilon_exponent(b, a, K)
+        # and equal to the Fraction formula, also at g = 8, delta = 497
+        for K in (random_wen_matrix(rng, gmax=3), jain_matrix(62, 8)):
+            grp = pi_group(K)
+            for _ in range(20):
+                a = grp.elements[rng.integers(0, len(grp))]
+                b = grp.elements[rng.integers(0, len(grp))]
+                assert upsilon_exponent(a, b, K) == upsilon_exponent(b, a, K)
+                assert upsilon_exponent(a, b, K) == _fraction_exponent(a, b, K)
+
+    def test_off_lattice_rejected(self):
+        K = jain_matrix(1, 2)  # delta = 3
+        third = (Fraction(1, 3), Fraction(1, 3))
+        for a in ((Fraction(1, 2), Fraction(0)), (Fraction(1, 9), Fraction(1, 3))):
+            with pytest.raises(ValueError):
+                upsilon_exponent(a, third, K)
 
     def test_biadditive(self, rng):
         K = random_wen_matrix(rng, gmax=3)

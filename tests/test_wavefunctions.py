@@ -18,6 +18,7 @@ from torushall.wavefunctions import (
     WaveFunctionSpec,
     center_basis,
     center_basis_values,
+    configuration_array,
     hr_wavefunction,
     jastrow_batch,
     jastrow_factor,
@@ -26,6 +27,7 @@ from torushall.wavefunctions import (
     magnetic_action_residual,
     magnetic_translation,
     one_particle_basis,
+    phi_values,
     random_configuration,
 )
 from torushall.wen import (
@@ -253,10 +255,8 @@ class TestMagneticAction:
             for _ in range(5):
                 config = random_configuration(spec, rng)
                 base = kvw_wavefunction(spec, c, config)
-                moved = magnetic_translation(
-                    spec, "t1", lambda cfg: kvw_wavefunction(spec, c, cfg), config
-                )
-                ratios.append(moved / base)
+                moved, factor = magnetic_translation(spec, "t1", configuration_array([config]))
+                ratios.append(factor[0] * phi_values(spec, (c,), moved)[0, 0] / base)
             assert np.std(ratios) < 1e-9
             assert abs(np.mean(ratios) - upsilon(u, c, K)) < 1e-9
 
@@ -282,10 +282,8 @@ class TestMagneticAction:
         zero = pi_group(spec.datum.matrix).elements[0]
         config = random_configuration(spec, rng)
         base = kvw_wavefunction(spec, zero, config)
-        moved = magnetic_translation(
-            spec, "t1", lambda cfg: kvw_wavefunction(spec, zero, cfg), config
-        )
-        assert _residual(moved, base) < 1e-10
+        moved, factor = magnetic_translation(spec, "t1", configuration_array([config]))
+        assert _residual(factor[0] * phi_values(spec, (zero,), moved)[0, 0], base) < 1e-10
 
     def test_t2_orbit_cycles(self, rng):
         # applying T2 delta times walks the u-orbit back to the start
@@ -294,19 +292,17 @@ class TestMagneticAction:
         u = K.u_class()
         config = random_configuration(spec, rng)
         c = pi_group(K).elements[1]
-
-        def t2_iter(times, cfg):
-            if times == 0:
-                return kvw_wavefunction(spec, c, cfg)
-            return magnetic_translation(
-                spec, "t2", lambda inner: t2_iter(times - 1, inner), cfg
-            )
+        # T2^j Phi_c(z) is the product of the T2 factors along z, z + tau/d, ...
+        # times Phi_c at z + j tau/d
+        moved, factor = configuration_array([config]), np.ones(1)
 
         # intermediate steps hit Phi_{c + j u}
         expect_c = c
         for j in range(1, K.delta + 1):
             expect_c = pi_add(expect_c, u)
-            got = t2_iter(j, config)
+            moved, step = magnetic_translation(spec, "t2", moved)
+            factor = factor * step
+            got = factor[0] * phi_values(spec, (c,), moved)[0, 0]
             want = kvw_wavefunction(spec, expect_c, config)
             assert _residual(got, want) < 1e-9
         assert expect_c == c  # delta steps close the orbit
@@ -337,6 +333,57 @@ class TestBatchedEvaluation:
         assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
 
 
+    @pytest.mark.parametrize(
+        "kmat,nvec,xi,tau",
+        [
+            ([[3, 2], [2, 3]], (1, 1), (0.1 + 0.2j, 0j), TorusParams(1j)),
+            ([[3]], (6,), (0.1 + 0.05j,), TorusParams(1j)),
+        ],
+        ids=["readme", "laughlin-third-6"],
+    )
+    def test_phi_values_match_scalar_wavefunction(self, kmat, nvec, xi, tau, rng):
+        spec = _spec(kmat, nvec, xi, tau)
+        cs = pi_group(spec.datum.matrix).elements
+        configs = [random_configuration(spec, rng) for _ in range(50)]
+        got = phi_values(spec, cs, configuration_array(configs))
+        assert got.shape == (len(cs), 50)
+        for j, config in enumerate(configs):
+            for i, c in enumerate(cs):
+                want = kvw_wavefunction(spec, c, config)
+                assert abs(got[i, j] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("check", ["kvw", "magnetic"])
+    def test_check_theta_calls_independent_of_size(self, check, monkeypatch):
+        # the many-body checks batch every configuration and coset, so the
+        # number of lattice sums they start does not grow with samples or delta
+        from torushall import theta, wavefunctions
+
+        calls = []
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module in (theta, wavefunctions):
+            monkeypatch.setattr(module, "_theta_sum", counted(module._theta_sum))
+        run = {
+            "kvw": checks.check_kvw_quasi_periodicity,
+            "magnetic": checks.check_magnetic_action,
+        }[check]
+        counts = set()
+        for kmat in ([[2, 1], [1, 2]], [[3, 2], [2, 3]]):  # delta = 3 and 5
+            spec = _spec(kmat, (1, 1), (0.1 + 0.2j, -0.05j))
+            for samples in (6, 20):
+                calls.clear()
+                records = run(spec, seed=1, samples=samples)
+                assert [r["verdict"] for r in records] == ["PASS", "PASS"]
+                counts.add(len(calls))
+        assert len(counts) == 1, counts
+
+
 class TestUnitCellChecks:
     @pytest.mark.parametrize("seed", [606, 707])
     def test_laughlin_third_six_particles(self, seed):
@@ -346,3 +393,24 @@ class TestUnitCellChecks:
         records = checks.check_kvw_quasi_periodicity(spec, seed=seed)
         records += checks.check_magnetic_action(spec, seed=seed)
         assert [r["verdict"] for r in records] == ["PASS"] * 4, records
+
+    def test_nan_wavefunction_fails_every_record(self, monkeypatch):
+        # a NaN Phi must not read as a zero defect in either law family
+        from torushall import wavefunctions
+
+        monkeypatch.setattr(
+            wavefunctions,
+            "jastrow_batch",
+            lambda datum, tau, layers, tol=1e-12: np.full(layers[0].shape[0], np.nan),
+        )
+        spec = _spec([[3, 2], [2, 3]], (1, 1), (0.1 + 0.2j, 0j), tau=TorusParams(1j))
+        records = checks.check_kvw_quasi_periodicity(spec) + checks.check_magnetic_action(
+            spec, samples=6
+        )
+        assert [r["name"] for r in records] == [
+            "wavefn.shift_one",
+            "wavefn.shift_tau",
+            "magnetic.t1_eigenvalue",
+            "magnetic.t2_shift",
+        ]
+        assert all(r["verdict"] == "FAIL" and np.isnan(r["measured"]) for r in records)
