@@ -24,8 +24,11 @@ from .theta import (
     ThetaCharacteristics,
     TorusParams,
     jacobi_theta,
+    jacobi_theta_batch,
     riemann_theta,
+    riemann_theta_batch,
     theta_odd,
+    theta_odd_batch,
 )
 
 # name -> (law, threshold on the measured defect)
@@ -133,13 +136,12 @@ def check_theta_laws(
         tau = TorusParams(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)))
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         a, b = rng.uniform(-0.5, 0.5, size=2)
-        base = jacobi_theta(a, b, z, tau, tol)
-        lhs1 = jacobi_theta(a, b, z + 1, tau, tol)
+        base, lhs1, lhs2 = jacobi_theta_batch(a, b, [z, z + 1, z + tau.tau], tau, tol)
         worst_shift1 = _worst(worst_shift1, _residual(lhs1, np.exp(2j * np.pi * a) * base))
-        lhs2 = jacobi_theta(a, b, z + tau.tau, tau, tol)
         fac = np.exp(-2j * np.pi * (z + b) - 1j * np.pi * tau.tau)
         worst_shift_tau = _worst(worst_shift_tau, _residual(lhs2, fac * base))
-        worst_odd = _worst(worst_odd, abs(theta_odd(z, tau, tol) + theta_odd(-z, tau, tol)))
+        plus, minus = theta_odd_batch([z, -z], tau, tol)
+        worst_odd = _worst(worst_odd, abs(plus + minus))
         if zero_at_samples:
             zero = _worst(zero, abs(theta_odd(0.0, tau, tol)))
     taus = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)) for _ in range(10)]
@@ -171,14 +173,12 @@ def check_multitheta_laws(seed: int = 0, samples: int = 20, tol: float = 1e-12) 
             )
             z = rng.uniform(-0.5, 0.5, size=g) + 1j * rng.uniform(-0.5, 0.5, size=g)
             l = rng.integers(-1, 2, size=g).astype(float)
-            base = riemann_theta(chars, z, om, tol)
+            base, lhs1, lhs2 = riemann_theta_batch(chars, [z, z + l, z + om.omega @ l], om, tol)
             a = np.asarray(chars.a)
             b = np.asarray(chars.b)
-            lhs = riemann_theta(chars, z + l, om, tol)
-            worst1 = _worst(worst1, _residual(lhs, np.exp(2j * np.pi * (a @ l)) * base))
-            lhs = riemann_theta(chars, z + om.omega @ l, om, tol)
+            worst1 = _worst(worst1, _residual(lhs1, np.exp(2j * np.pi * (a @ l)) * base))
             fac = np.exp(-2j * np.pi * (l @ (z + b)) - 1j * np.pi * (l @ om.omega @ l))
-            worst2 = _worst(worst2, _residual(lhs, fac * base))
+            worst2 = _worst(worst2, _residual(lhs2, fac * base))
         # diagonal factorization
         for _ in range(5):
             diag = rng.uniform(-0.4, 0.4, size=g) + 1j * rng.uniform(0.6, 1.6, size=g)
@@ -261,8 +261,8 @@ def gram_center_records(
     ]
 
 
-def check_gram_center(K: wen.WenMatrix, xi, tau, points: int) -> list[dict]:
-    report = gram.gram_center(K, xi, tau, gram.QuadratureSpec(points_per_axis=points))
+def check_gram_center(K: wen.WenMatrix, xi, tau) -> list[dict]:
+    report = gram.gram_center(K, xi, tau)
     orthogonal, kappa = gram_center_records(report)
     return [orthogonal, record("gram.center_scalar", report.diag_spread), kappa]
 
@@ -342,7 +342,6 @@ def run_verify_all(
     tau,
     xi,
     seed: int,
-    points: int,
 ) -> list[dict]:
     """The full composed suite on one datum, at desk-scale sizes."""
     checks: list[dict] = []
@@ -351,7 +350,7 @@ def run_verify_all(
     checks += check_wen_exactness(pmax=4, gmax=4)
     datum = wen.validate_wen_datum(K, n_vec)
     checks += check_heisenberg(datum)
-    checks += check_gram_center(K, xi, tau, points=points)
+    checks += check_gram_center(K, xi, tau)
     spec = wavefunctions.WaveFunctionSpec(
         datum=datum, xi=tuple(xi), torus=TorusParams(complex(tau))
     )

@@ -274,8 +274,7 @@ def _finish_gram(args, command: str, report: gram.GramReport, records: list[dict
 def cmd_gram_center(args) -> int:
     doc = _document(args)
     K, _datum, tau, xi = _resolve(doc)
-    quad = gram.QuadratureSpec(points_per_axis=args.points)
-    report = gram.gram_center(K, xi, tau, quad, tol=args.tol)
+    report = gram.gram_center(K, xi, tau, tol=args.tol)
     records = checks.gram_center_records(report, args.tol_gram)
     return _finish_gram(args, "gram-center", report, records)
 
@@ -298,9 +297,7 @@ def cmd_gram_manybody(args) -> int:
 def cmd_verify_all(args) -> int:
     doc = _document(args)
     K, datum, tau, xi = _resolve(doc)
-    records = checks.run_verify_all(
-        K, datum.n_vec, tau, xi, seed=args.seed, points=args.points
-    )
+    records = checks.run_verify_all(K, datum.n_vec, tau, xi, seed=args.seed)
     return _finish_checks(args, "verify-all", records)
 
 
@@ -349,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("heisenberg", cmd_heisenberg, "magnetic-translation matrices", "input")
     p.add_argument("--matrices", action="store_true", help="include floating matrices")
 
-    # --seed is accepted and ignored: the tensor rule draws no samples
+    # --seed is accepted and ignored: the trapezoid rule draws no samples
     p = command("gram-center", cmd_gram_center, "center-of-mass Gram matrix",
-                "input", "tol", "points", "seed")
+                "input", "tol", "seed")
     p.add_argument(
         "--tol-gram", type=float, help="orthogonality threshold (default: the check's own)"
     )
@@ -360,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "input", "tol", "points", "samples", "seed")
     p.add_argument("--scheme", choices=("auto", "tensor-gauss", "qmc"), default="auto")
 
-    command("verify-all", cmd_verify_all, "run the composed verification suite",
-            "input", "points", "seed")
+    command("verify-all", cmd_verify_all, "run the composed verification suite", "input", "seed")
     return parser
 
 

@@ -13,25 +13,44 @@ with the common norm
 the value of the Gaussian integral obtained by unfolding the lattice sum
 (for g = 1 this is the familiar (2 t delta)^{-1/2} exp(2 pi t a^2 / k)).
 
-Center-of-mass Gram matrices are computed by tensor Gauss-Legendre
-quadrature without evaluating the basis on the grid: every lattice term
-has an integer frequency in x, so the x-sum of a pair of terms is a product
-of per-axis lookups in one 1-D Fourier table of the rule, and the y-sum is
-one complex matrix product per basis pair.  Many-body Gram matrices use
-either tensor quadrature (small particle numbers) or replicated scrambled
-Sobol sampling with replicate-mean standard errors.
+Center-of-mass Gram matrices are computed by the midpoint trapezoid rule,
+p nodes (q + 1/2)/p of weight 1/p on each of the 2g axes, without evaluating
+the basis on the grid.  The integrand is doubly periodic, so the rule's error is
+its aliasing: the sum of the integrand's Fourier coefficients at the nonzero
+multiples p j of the grid frequency (Trefethen and Weideman, SIAM Rev. 56,
+2014).  Relative to kappa, both families of coefficients are Gaussians:
+
+* in x, a pair of lattice terms with frequencies m, m' contributes at
+  m - m'; unfolding its y-integral gives exp(-pi t (m - m')'K^{-1}(m - m')/2),
+  so the x-coefficient at p j is at most exp(-pi t p^2 j'K^{-1}j / 2);
+* in y, the x-averaged density sum_m exp(-2 pi t (m + K y)'K^{-1}(m + K y))
+  (times the a-dependent factor of kappa) is a periodized Gaussian of
+  covariance K^{-1}/(4 pi t); its coefficient at p j is
+  exp(-pi p^2 j'K^{-1}j / (2 t)).
+
+The rule's p is the smallest p coprime to delta whose sum of both families
+over j != 0 is below tol/4.  Coprime, because for p a multiple of delta the
+grid is invariant under the magnetic translations, and the off-diagonal
+entries would vanish whether or not the rule had converged.  The x-sum of
+exp(2 pi i n x) at the midpoint nodes is (-1)^(n/p) when p divides n and 0
+otherwise, so the x-sum of a pair of lattice terms is a sign, or zero, read
+from their frequencies modulo p; the y-sum stays on the p^g height nodes.
+Many-body Gram matrices use either tensor Gauss-Legendre quadrature (small
+particle numbers) or replicated scrambled Sobol sampling with
+replicate-mean standard errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.stats import qmc
 
-from .theta import OmegaMatrix, TorusParams, lattice_terms, truncation_plan
+from .theta import OmegaMatrix, TorusParams, _tail_halfwidth, lattice_terms, truncation_plan
 from .wavefunctions import WaveFunctionSpec, phi_values
 from .wavefunctions import center_basis_batch  # noqa: F401  bench/test_bench.py wraps it here
 from .wen import PiElement, WenMatrix, pi_group, pi_scale
@@ -49,12 +68,13 @@ class SamplingBudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate: tensor Gauss-Legendre or scrambled Sobol.
+    """How to integrate the many-body Gram: tensor Gauss-Legendre or scrambled Sobol.
 
     scheme 'auto' picks the tensor grid when points_per_axis**dim stays
     within budget and falls back to QMC otherwise.  QMC totals are split
     into ``replicates`` independently scrambled streams whose spread gives
-    the standard error.
+    the standard error.  The center-of-mass Gram reads the budget only; it
+    works out its own points per axis.
     """
 
     scheme: str = "auto"
@@ -75,7 +95,7 @@ class QuadratureSpec:
 class GramReport:
     """Measured Gram matrix with error estimates and scalarness diagnostics.
 
-    ``stderr`` is zero for tensor quadrature and the replicate-mean standard
+    ``stderr`` is zero for the deterministic rules and the replicate-mean standard
     error (combined real/imaginary) for QMC.  ``offdiag_ratio`` is the largest
     off-diagonal magnitude over the mean diagonal; ``diag_spread`` the diagonal
     peak-to-peak over the mean.  Sigma-normalized versions are present for QMC
@@ -158,7 +178,7 @@ def kappa_closed_form(K: WenMatrix, xi, tau: TorusParams | complex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tensor Gauss-Legendre machinery
+# quadrature nodes
 
 
 def gauss_nodes_01(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,16 +187,14 @@ def gauss_nodes_01(p: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1) / 2, w / 2
 
 
+def midpoint_nodes(p: int) -> np.ndarray:
+    """Nodes (q + 1/2)/p, q = 0 .. p-1, of the midpoint trapezoid rule on [0, 1]."""
+    return (np.arange(p) + 0.5) / p
+
+
 def _tensor_grid(nodes: np.ndarray, g: int) -> np.ndarray:
     grids = np.meshgrid(*([nodes] * g), indexing="ij")
     return np.stack([gr.ravel() for gr in grids], axis=-1)
-
-
-def _tensor_weights(weights: np.ndarray, g: int) -> np.ndarray:
-    out = weights
-    for _ in range(g - 1):
-        out = np.multiply.outer(out, weights).ravel()
-    return out
 
 
 def inner_product_center(
@@ -188,12 +206,13 @@ def inner_product_center(
     quad: QuadratureSpec | None = None,
     check_tol: float | None = None,
 ) -> complex:
-    """Tensor Gauss-Legendre estimate of the weighted scalar product.
+    """Midpoint trapezoid estimate of the weighted scalar product on the full grid.
 
     f1, f2 must accept an (M, g) complex array of points z = x + tau y and
-    return (M,) values.  With check_tol set, the estimate is recomputed at
-    half the per-axis points and QuadratureTooCoarseError is raised when
-    the two results differ by more than check_tol.
+    return (M,) values; they are evaluated at all p^{2g} nodes, p the
+    per-axis points of ``quad``.  With check_tol set, the estimate is
+    recomputed at half the per-axis points and QuadratureTooCoarseError is
+    raised when the two results differ by more than check_tol.
     """
     quad = quad or QuadratureSpec()
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
@@ -201,12 +220,10 @@ def inner_product_center(
     def estimate(p: int) -> complex:
         if p ** (2 * K.g) > quad.budget:
             raise SamplingBudgetExceededError(
-                f"{p}^{2 * K.g} tensor points exceed the budget {quad.budget}"
+                f"{p}^{2 * K.g} grid points exceed the budget {quad.budget}"
             )
-        nodes, wts = gauss_nodes_01(p)
-        xg = yg = _tensor_grid(nodes, K.g)
-        wx = _tensor_weights(wts, K.g)
-        wy = wx * np.exp(_log_height_weight(K.entries, xi, tp, yg))
+        xg = yg = _tensor_grid(midpoint_nodes(p), K.g)
+        wy = np.exp(_log_height_weight(K.entries, xi, tp, yg)) / p ** (2 * K.g)
         total = 0.0 + 0.0j
         block = max(1, (1 << 22) // max(1, xg.shape[0]))
         for start in range(0, yg.shape[0], block):
@@ -214,7 +231,7 @@ def inner_product_center(
             zb = xg[None, :, :] + tp.tau * yg[start:stop, None, :]
             flat = zb.reshape(-1, K.g)
             v = (f1(flat) * np.conj(f2(flat))).reshape(stop - start, -1)
-            total += wy[start:stop] @ (v @ wx)
+            total += wy[start:stop] @ v.sum(axis=1)
         return complex(total)
 
     value = estimate(quad.points_per_axis)
@@ -228,36 +245,60 @@ def inner_product_center(
 
 
 # ---------------------------------------------------------------------------
-# center-of-mass Gram from per-axis moment tables
+# center-of-mass Gram by the midpoint rule, summed per frequency residue
 
 # E entries below exp(_LOG_FLOOR) are set to 0, so that no product of two
-# kept entries is subnormal (subnormal operands slow the matrix product
-# several-fold).  A Gram entry over N x N terms loses less than N^2 p^g tiny^(1/2)
-# times the largest |E|, which is about 1.
+# kept entries is subnormal (subnormal operands slow the products several-fold).
+# A Gram entry over N x N terms loses less than N^2 p^g tiny^(1/2) times the
+# largest |E|, which is about 1.
 _LOG_FLOOR = 0.5 * math.log(np.finfo(float).tiny)
 
 
-def _gram_center_at(
-    K: WenMatrix,
-    xi,
-    tp: TorusParams,
-    cs: Sequence[PiElement],
-    p: int,
-    tol: float,
-) -> np.ndarray:
-    """Tensor Gauss-Legendre Gram at p points per axis, with no value on the p^g x p^g grid.
+def _rule_points(K: WenMatrix, t: float, tol: float, budget: int) -> tuple[int, int]:
+    """Per-axis points of the center Gram's midpoint rule, and of its check.
+
+    p is the smallest integer coprime to delta whose aliasing bound
+    sum_{j != 0} [exp(-pi t p^2 j'K^{-1}j / 2) + exp(-pi p^2 j'K^{-1}j / (2 t))]
+    is below tol/4 (see the module docstring); the check uses the next
+    integer above p coprime to delta.  The sum runs over the box |j|_inf < r;
+    by the theta shell bound at the smallest eigenvalue of K^{-1}, the shells
+    beyond it add less than tol/32, which is counted in.
+    """
+    g = K.g
+    qinv = np.linalg.inv(np.array(K.entries, dtype=float))
+    lam = float(np.linalg.eigvalsh(qinv)[0])
+    # up to this p the term j = e_a with the smallest K^{-1}_aa alone reaches tol/4
+    floor_p2 = 2 * math.log(4 / tol) / (math.pi * min(t, 1 / t) * qinv.diagonal().min())
+    p = max(1, math.floor(math.sqrt(floor_p2)))
+    while True:
+        betas = np.pi * p * p / 2 * np.array([t, 1 / t])
+        r = _tail_halfwidth(lam * betas.min() / np.pi, g, tol / 16)
+        if max(K.delta * p**g, (2 * r - 1) ** g) > budget:
+            raise SamplingBudgetExceededError(
+                f"the center Gram needs more than {p} points per axis, over the budget {budget}"
+            )
+        if gcd(p, K.delta) == 1:
+            js = _tensor_grid(np.arange(1 - r, r), g)
+            js = js[np.any(js != 0, axis=1)]
+            q = np.einsum("ij,jk,ik->i", js, qinv, js)
+            if np.sum(np.exp(-np.multiply.outer(betas, q))) + tol / 32 < tol / 4:
+                break
+        p += 1
+    check = p + 1
+    while gcd(check, K.delta) != 1:
+        check += 1
+    return p, check
+
+
+def _center_terms(
+    K: WenMatrix, xi, tp: TorusParams, cs: Sequence[PiElement], tol: float
+) -> dict[PiElement, tuple[np.ndarray, np.ndarray]]:
+    """Frequencies and log coefficients of the lattice terms of each H_c.
 
     Each lattice term of H_c = Theta[c,0](K(x + tau y) + xi | tau K) is
-    C_k exp(2 pi i m_k.x) exp(2 pi i tau m_k.y) with integer frequency
-    m_k = K(k + c).  The x-sum of a pair of terms is therefore
-    prod_axis F(m_ik - m_jl) with the 1-D table F(n) = sum_q w_q exp(2 pi i n x_q),
-    and the y-sum is the product E_i E_j^H, where
-    E_c[k, y] = C_k exp(2 pi i tau m_k.y) (w_y h(y))^(1/2) on the p^g height
-    nodes; splitting the weight keeps every entry at most about 1.
+    C_k exp(2 pi i m_k.x) exp(2 pi i tau m_k.y) with the integer frequency
+    m_k = K(k + c); the window covers the term peaks for heights in [0, 1]^g.
     """
-    nodes, wts = gauss_nodes_01(p)
-    ygrid = _tensor_grid(nodes, K.g)
-    log_wy = np.log(_tensor_weights(wts, K.g)) + _log_height_weight(K.entries, xi, tp, ygrid)
     kmat = np.array(K.entries, dtype=float)
     omega = OmegaMatrix.create(tp.tau * kmat)
     xiv = np.asarray(xi, dtype=complex)
@@ -272,31 +313,58 @@ def _gram_center_at(
         ka = ks + cf[None, :]
         m = np.rint(ka @ kmat.T)  # integral, because K c is
         log_c = 1j * np.pi * (tp.tau * np.sum(ka * m, axis=1) + 2 * ka @ xiv)
+        terms[c] = (m.astype(int), log_c)
+    return terms
+
+
+def _gram_center_at(
+    K: WenMatrix,
+    xi,
+    tp: TorusParams,
+    cs: Sequence[PiElement],
+    terms: dict[PiElement, tuple[np.ndarray, np.ndarray]],
+    p: int,
+) -> np.ndarray:
+    """Midpoint-rule Gram at p points per axis, with no value on the p^g x p^g grid.
+
+    At the nodes x_q = (q + 1/2)/p with weight 1/p, the x-sum of
+    exp(2 pi i n x) is exp(pi i n/p) [p divides n] = (-1)^(n/p) [p divides n].
+    The x-sum of a pair of lattice terms (m_ik, m_jl) is therefore
+    (-1)^(sum_a (m_ik - m_jl)_a / p) when m_ik = m_jl (mod p) on every axis,
+    and 0 otherwise.  Writing m = r + p w with the residue r in [0, p)^g, the
+    sign is (-1)^(sum w_ik) (-1)^(sum w_jl), so it splits over the pair.  With
+    E_c[k, y] = C_k exp(2 pi i tau m_k.y) (p^-g h(y))^(1/2) on the p^g height
+    nodes (splitting the weight keeps every entry at most about 1), the
+    signed rows of each coset are summed per residue into F_c[r, y], and
+    G_ij = sum_{r, y} F_i conj(F_j).
+    """
+    g = K.g
+    ygrid = _tensor_grid(midpoint_nodes(p), g)
+    half_log_wy = 0.5 * (_log_height_weight(K.entries, xi, tp, ygrid) - g * math.log(p))
+    place = p ** np.arange(g)
+    sums = {}
+    for c, (m, log_c) in terms.items():
         e = (m @ ygrid.T) * (2j * np.pi * tp.tau)
         e += log_c[:, None]
-        e += 0.5 * log_wy
+        e += half_log_wy
         dropped = e.real < _LOG_FLOOR
         np.exp(e, out=e)
         e[dropped] = 0
-        terms[c] = (m.astype(int), e)
-    # frequency differences lie in [-2 mmax, 2 mmax]; mmax depends on the set of cs only
-    mmax = max(int(np.abs(m).max()) for m, _ in terms.values())
-    ftab = np.exp(2j * np.pi * np.outer(np.arange(-2 * mmax, 2 * mmax + 1), nodes)) @ wts
-
-    def entry(ci: PiElement, cj: PiElement) -> complex:
-        (mi, ei), (mj, ej) = terms[ci], terms[cj]
-        amat = np.prod([ftab[mi[:, [a]] - mj[:, a] + 2 * mmax] for a in range(K.g)], axis=0)
-        return np.sum(amat * (ei @ ej.conj().T))
+        wraps, residues = np.divmod(m, p)
+        e *= (1 - 2 * (wraps.sum(axis=1) % 2))[:, None]
+        f = np.zeros((p**g, ygrid.shape[0]), dtype=complex)
+        np.add.at(f, residues @ place, e)
+        sums[c] = f
 
     d = len(cs)
     gmat = np.empty((d, d), dtype=complex)
     for i in range(d):
-        gmat[i, i] = entry(cs[i], cs[i]).real
+        gmat[i, i] = np.vdot(sums[cs[i]], sums[cs[i]]).real
         for j in range(i + 1, d):
             # orient each pair by basis value, not slot, so a permuted
             # ordering reproduces bit-identical estimates
             lo, hi = (i, j) if cs[i] <= cs[j] else (j, i)
-            gmat[lo, hi] = entry(cs[lo], cs[hi])
+            gmat[lo, hi] = np.vdot(sums[cs[hi]], sums[cs[lo]])
             gmat[hi, lo] = np.conj(gmat[lo, hi])
     return gmat
 
@@ -324,30 +392,38 @@ def gram_center(
     ordering: Sequence[PiElement] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> GramReport:
-    """Gram matrix of the center-of-mass theta basis by tensor quadrature.
+    """Gram matrix of the center-of-mass theta basis by the midpoint trapezoid rule.
 
-    Reports the off-diagonal/diagonal ratio, the diagonal spread, and the
-    relative mismatch against the closed-form kappa, plus the shift seen
-    when halving the per-axis points (a convergence indicator).
+    The per-axis points p come from the a-priori aliasing bound (see
+    ``_rule_points``), so that the rule's error stays below about tol/4 of
+    kappa on top of the series truncation; of ``quad`` only the budget is
+    read, and it bounds the (lattice term x height node) entries formed.
+    Reports the off-diagonal/diagonal ratio, the diagonal spread, the
+    relative mismatch against the closed-form kappa, and as
+    ``doubling_shift`` the largest entry shift seen at the next p above it
+    coprime to delta (a convergence indicator).
     """
     quad = quad or QuadratureSpec()
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
     cs = tuple(ordering) if ordering is not None else pi_group(K).elements
-    p = quad.points_per_axis
-    if p ** (2 * K.g) * len(cs) > quad.budget:
+    p, p_check = _rule_points(K, tp.t, tol, quad.budget)
+    terms = _center_terms(K, xi, tp, cs, tol)
+    formed = sum(m.shape[0] for m, _ in terms.values()) * (p**K.g + p_check**K.g)
+    if formed > quad.budget:
         raise SamplingBudgetExceededError(
-            f"grid {p}^{2 * K.g} x {len(cs)} basis functions exceeds budget {quad.budget}"
+            f"{formed} term x height-node entries at p = {p} and {p_check} "
+            f"exceed the budget {quad.budget}"
         )
-    gmat = _gram_center_at(K, xi, tp, cs, p, tol)
-    coarse = _gram_center_at(K, xi, tp, cs, max(2, p // 2), tol)
-    shift = float(np.max(np.abs(gmat - coarse)))
+    gmat = _gram_center_at(K, xi, tp, cs, terms, p)
+    check = _gram_center_at(K, xi, tp, cs, terms, p_check)
+    shift = float(np.max(np.abs(gmat - check)))
     kappa = kappa_closed_form(K, xi, tp)
     mean_diag, offratio, spread, herm = _report_stats(gmat)
     return GramReport(
         matrix=gmat,
         stderr=np.zeros_like(gmat, dtype=float),
         basis_labels=_labels(cs),
-        scheme="tensor-gauss",
+        scheme="trapezoid",
         total_points=p ** (2 * K.g),
         seed=None,
         kappa_ref=kappa,

@@ -21,7 +21,9 @@ terms neither overflow nor underflow against each other.
 
 Truncation: the reduced terms are a Gaussian in k centred at
 mu = -a - Y^{-1} Im z'.  Summation runs over the integer box of halfwidth r
-around the range of mu, r the smallest integer making the shell bound
+around the range of mu over all reduced heights in [-1/2, 1/2]^g, so that a
+value does not depend on the other points of its batch; r is the smallest
+integer making the shell bound
 sum_{j >= r} 2 g (2j+1)^{g-1} exp(-pi lambda_min j^2) fall below tol/4
 (lambda_min the smallest eigenvalue of Y; the factor 2 is the safety margin
 on the tol/2 budget).  The bound is relative to the largest term, of
@@ -161,8 +163,14 @@ def _tail_halfwidth(lambda_min: float, g: int, tol: float) -> int:
     r2 = math.log(2 * g / target) / (math.pi * lambda_min)
     r = max(1, math.floor(math.sqrt(max(r2, 0.0))))
     while r < 100000:
-        j = np.arange(r, r + 256, dtype=float)
-        tail = float(np.sum(2 * g * (2 * j + 1) ** (g - 1) * np.exp(-np.pi * lambda_min * j * j)))
+        # the shells j = r .. r + 255; the terms are log-concave in j, so a term
+        # below 1e-17 of the partial sum is past the peak and the rest cannot show
+        tail = 0.0
+        for j in range(r, r + 256):
+            term = 2 * g * (2 * j + 1) ** (g - 1) * math.exp(-math.pi * lambda_min * j * j)
+            tail += term
+            if tail >= target or term < 1e-17 * tail:
+                break
         if tail < target:
             return r
         r += 1
@@ -241,8 +249,9 @@ def _theta_sum(omega: OmegaMatrix, plan: TruncationPlan, b, z: np.ndarray) -> np
     m = np.rint(heights)
     zr = z - m @ omega.omega
     factor = np.exp(-1j * np.pi * np.sum(m * (z + zr + 2 * b), axis=1))
-    reduced = heights - m  # Im(Omega)^{-1} Im(zr), in [-1/2, 1/2]^g
-    peaks = (-a.max(0) - reduced.max(0), -a.min(0) - reduced.min(0))  # range of -a - reduced
+    # term peaks -a - reduced for every reduced height in [-1/2, 1/2]^g, so that
+    # the window, and with it each value, does not depend on the other points
+    peaks = (-a.max(0) - 0.5, -a.min(0) + 0.5)
     ks, coeff = lattice_terms(omega, plan, b, *peaks)
     lo, counts = ks[0], (ks[-1] - ks[0] + 1).astype(int)
     step = max(1, _CHUNK // ks.shape[0])

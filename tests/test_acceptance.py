@@ -80,7 +80,7 @@ def test_criterion_5_center_gram():
             xi = tuple(
                 rng.uniform(-0.5, 0.5, size=K.g) + 1j * rng.uniform(-0.5, 0.5, size=K.g)
             )
-            records += checks.check_gram_center(K, xi, tau, points=48)
+            records += checks.check_gram_center(K, xi, tau)
     elapsed = time.perf_counter() - start
     _report(
         5, "center-of-mass Gram orthogonal and matching the closed form", records, elapsed, 10.0

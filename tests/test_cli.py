@@ -156,7 +156,7 @@ class TestCli:
         assert capsys.readouterr().out == ""
 
     def test_gram_center_pass(self, k2_doc, capsys):
-        assert main(["gram-center", "--input", k2_doc, "--points", "32"]) == 0
+        assert main(["gram-center", "--input", k2_doc]) == 0
         out = capsys.readouterr().out
         assert "[PASS] gram.center_orthogonal" in out
         assert "[PASS] gram.center_kappa" in out
@@ -164,7 +164,7 @@ class TestCli:
     def test_gram_center_fail_exit_one(self, k2_doc, capsys):
         # an impossible orthogonality threshold must flip the exit status
         code = main(
-            ["gram-center", "--input", k2_doc, "--points", "32", "--tol-gram", "1e-30"]
+            ["gram-center", "--input", k2_doc, "--tol-gram", "1e-30"]
         )
         assert code == 1
         assert "[FAIL]" in capsys.readouterr().out
@@ -194,7 +194,7 @@ class TestCli:
         assert payload["scalar_pass"] is True
 
     def test_verify_all_passes(self, k2_doc, capsys):
-        assert main(["verify-all", "--input", k2_doc, "--points", "24"]) == 0
+        assert main(["verify-all", "--input", k2_doc]) == 0
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert "theta.shift_one" in out
@@ -206,13 +206,17 @@ class TestCli:
         # jain(3, 2) has delta = 7; every datum gets both magnetic records
         path = tmp_path / "jain32.json"
         path.write_text(json.dumps({"K": [[4, 3], [3, 4]], "n": [1, 1]}))
-        assert main(["verify-all", "--input", str(path), "--points", "24", "--format", "json"]) == 0
+        assert main(["verify-all", "--input", str(path), "--format", "json"]) == 0
         verdicts = {c["name"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
         assert verdicts["magnetic.t1_eigenvalue"] == verdicts["magnetic.t2_shift"] == "PASS"
 
-    def test_sampling_budget_exit_two(self, readme_doc, capsys):
-        # 64^4 points times 5 basis functions exceeds the default budget
-        assert main(["gram-center", "--input", readme_doc, "--points", "64"]) == 2
+    def test_sampling_budget_exit_two(self, tmp_path, capsys):
+        # jain(1, 4): p = 6 and 7 on 6^4 + 7^4 height nodes times about 1.3e5
+        # lattice terms over the 5 cosets, about 5e8 entries, over the default budget
+        path = tmp_path / "jain14.json"
+        rows = [[2 if i == j else 1 for j in range(4)] for i in range(4)]
+        path.write_text(json.dumps({"K": rows, "n": [1, 1, 1, 1]}))
+        assert main(["gram-center", "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert "SamplingBudgetExceededError" in captured.err
         assert captured.out == ""
@@ -243,7 +247,7 @@ class TestCli:
             return real(*args, tol=tol, **kwargs)
 
         monkeypatch.setattr(gram, "gram_center", spy)
-        assert main(["gram-center", "--input", k2_doc, "--points", "16", "--tol", "1e-6"]) == 0
+        assert main(["gram-center", "--input", k2_doc, "--tol", "1e-6"]) == 0
         assert seen == [1e-6]
 
     @pytest.mark.parametrize(
@@ -252,8 +256,16 @@ class TestCli:
             ["verify-all", "--input", "{k2}", "--tol", "1e-3"],
             ["validate", "--input", "{k2}", "--points", "3"],
             ["validate", "--input", "{k2}", "--samples", "7"],
+            ["gram-center", "--input", "{k2}", "--points", "32"],
+            ["verify-all", "--input", "{k2}", "--points", "24"],
         ],
-        ids=["verify-all-tol", "validate-points", "validate-samples"],
+        ids=[
+            "verify-all-tol",
+            "validate-points",
+            "validate-samples",
+            "gram-center-points",
+            "verify-all-points",
+        ],
     )
     def test_unread_flag_rejected(self, command, k2_doc, capsys):
         with pytest.raises(SystemExit) as exc:

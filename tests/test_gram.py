@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,13 @@ def center_fn(K, xi, tau, c):
         return riemann_theta_batch(chars, z @ km.T + xiv[None, :], om)
 
     return fn
+
+
+def rule_points(report, K):
+    """Per-axis points of a center Gram report's midpoint rule."""
+    p = round(report.total_points ** (1 / (2 * K.g)))
+    assert p ** (2 * K.g) == report.total_points
+    return p
 
 
 class TestMetricWeights:
@@ -142,26 +151,44 @@ class TestInnerProductCenter:
         tau = TAU
         xi = (0.2 + 0.1j,)
         grp = pi_group(K)
-        report = gram_center(K, xi, tau, QuadratureSpec(points_per_axis=24))
+        report = gram_center(K, xi, tau)
         fns = [center_fn(K, xi, tau, c) for c in grp.elements]
-        quad = QuadratureSpec(points_per_axis=24)
+        quad = QuadratureSpec(points_per_axis=rule_points(report, K))
         for i in range(3):
             for j in range(3):
                 direct = inner_product_center(K, xi, tau, fns[i], fns[j], quad)
                 assert abs(direct - report.matrix[i, j]) < 1e-12
 
     def test_matches_fast_path_two_layers(self):
-        # g = 2 takes the x-sum as a product of two per-axis table lookups
+        # g = 2 matches frequency residues and wrap signs on both axes
         K = jain_matrix(1, 2)
         tau = TorusParams(0.3 + 1.1j)
         xi = (0.15 + 0.1j, -0.2 + 0.25j)  # nonzero a and b on both axes
-        quad = QuadratureSpec(points_per_axis=12)
-        report = gram_center(K, xi, tau, quad)
+        report = gram_center(K, xi, tau)
+        quad = QuadratureSpec(points_per_axis=rule_points(report, K))
         fns = [center_fn(K, xi, tau, c) for c in pi_group(K).elements]
         for i in range(3):
             for j in range(3):
                 direct = inner_product_center(K, xi, tau, fns[i], fns[j], quad)
                 assert abs(direct - report.matrix[i, j]) < 1e-12
+
+    @pytest.mark.parametrize("rows,p", [([[3]], 4), ([[3, 2], [2, 3]], 3)])
+    def test_matches_fast_path_unconverged(self, rows, p):
+        # far below the rule's p the aliased pairs are large, so their residue
+        # match and wrap sign must agree with the full grid
+        from torushall.gram import _center_terms, _gram_center_at
+
+        K = validate_wen_matrix(rows)
+        xi = (0.15 + 0.1j, -0.2 + 0.25j)[: K.g]
+        cs = pi_group(K).elements
+        fast = _gram_center_at(K, xi, TAU, cs, _center_terms(K, xi, TAU, cs, 1e-12), p)
+        assert np.max(np.abs(fast - gram_center(K, xi, TAU).matrix)) > 1e-4 * abs(fast[0, 0])
+        fns = [center_fn(K, xi, TAU, c) for c in cs]
+        quad = QuadratureSpec(points_per_axis=p)
+        for i in range(len(cs)):
+            for j in range(len(cs)):
+                direct = inner_product_center(K, xi, TAU, fns[i], fns[j], quad)
+                assert abs(direct - fast[i, j]) < 1e-12
 
     def test_coarse_grid_detected(self):
         K = validate_wen_matrix([[3]])
@@ -237,6 +264,33 @@ class TestGramCenter:
     def test_permuted_basis_permutes_estimates_two_layers(self):
         # the README datum: the x-moment table is shared by every pair
         self._assert_permutes(validate_wen_matrix([[3, 2], [2, 3]]), (0.1 + 0.2j, 0j))
+
+    @pytest.mark.parametrize(
+        "rows,tau",
+        [([[1]], 0.2 + 0.3j), ([[2]], 0.1 + 0.25j), ([[3]], 0.15j), ([[12]], 3j)],
+    )
+    def test_rule_points_coprime_and_converged(self, rows, tau):
+        # small Im tau needs the x-aliasing term of the bound, large Im tau the
+        # y term; y-aliasing shows in the diagonal spread, since the mean over
+        # the cosets is a 1/delta-periodic sum that the rule integrates exactly
+        K = validate_wen_matrix(rows)
+        report = gram_center(K, (0.1 + 0.05j,), TorusParams(tau))
+        assert report.scheme == "trapezoid"
+        assert math.gcd(rule_points(report, K), K.delta) == 1
+        assert report.kappa_rel_err < 1e-10
+        assert max(report.offdiag_ratio, report.diag_spread) < 1e-10
+
+    def test_repeated_coset_fails_orthogonality(self):
+        # a basis function paired with itself off the diagonal must not read as orthogonal
+        from torushall.checks import gram_center_records
+
+        K = validate_wen_matrix([[3, 2], [2, 3]])
+        cs = pi_group(K).elements
+        report = gram_center(K, (0.1 + 0.2j, 0j), TorusParams(1j), ordering=cs + cs[1:2])
+        orthogonal = gram_center_records(report)[0]
+        assert orthogonal["name"] == "gram.center_orthogonal"
+        assert orthogonal["verdict"] == "FAIL"
+        assert abs(report.offdiag_ratio - 1) < 1e-12
 
     def test_doubling_shift_small(self):
         K = validate_wen_matrix([[2]])

@@ -74,6 +74,17 @@ class TestJacobiTheta:
         for z, v in zip(zs, batch):
             assert abs(v - jacobi_theta(0.25, -0.4, z, tau)) < 1e-13
 
+    def test_value_independent_of_batch(self):
+        # at small Im tau the window's edge terms reach about 1e-7 at tol = 1e-3,
+        # so a window sized from the batch's own heights would move the value
+        t = 0.05
+        low, high = 0.3 - 0.49j * t, -0.2 + 0.49j * t  # reduced heights -0.49 and +0.49
+        for a in (0.0, 0.3):
+            alone = jacobi_theta_batch(a, 0.1, [low], 1j * t, tol=1e-3)[0]
+            batched = jacobi_theta_batch(a, 0.1, [low, high], 1j * t, tol=1e-3)[0]
+            # the largest term has modulus about 1 here
+            assert abs(alone - batched) < 1e-14
+
     def test_rejects_bad_modulus(self):
         with pytest.raises(NonconvergentModulusError):
             jacobi_theta(0, 0, 0, 1.0 - 0.5j)
@@ -233,6 +244,27 @@ class TestTruncationPlan:
         loose = truncation_plan(om, (0.0, 0.0), 1e-3)
         tight = truncation_plan(om, (0.0, 0.0), 1e-13)
         assert loose.halfwidth < tight.halfwidth
+
+    def test_tail_halfwidth_matches_vector_sum(self):
+        # the scalar search returns the r of the 256-shell numpy tail it replaced
+        import math
+
+        from torushall.theta import _tail_halfwidth
+
+        def reference(lam, g, tol):
+            target = tol / 4.0
+            r = max(1, math.floor(math.sqrt(max(math.log(2 * g / target) / (math.pi * lam), 0.0))))
+            while True:
+                j = np.arange(r, r + 256, dtype=float)
+                tail = np.sum(2 * g * (2 * j + 1) ** (g - 1) * np.exp(-np.pi * lam * j * j))
+                if tail < target:
+                    return r
+                r += 1
+
+        for lam in np.geomspace(0.05, 50, 60):
+            for g in range(1, 9):
+                for tol in (1e-14, 1e-12, 1e-8, 1e-3):
+                    assert _tail_halfwidth(lam, g, tol) == reference(lam, g, tol)
 
     def test_near_singular_finite(self):
         om = OmegaMatrix.create(1j * np.diag([1e-3, 1.0]))
