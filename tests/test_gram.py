@@ -262,7 +262,7 @@ class TestGramCenter:
         self._assert_permutes(validate_wen_matrix([[3]]), (0.1 + 0.2j,))
 
     def test_permuted_basis_permutes_estimates_two_layers(self):
-        # the README datum: the x-moment table is shared by every pair
+        # the README datum: each coset's residue sums are paired by basis value
         self._assert_permutes(validate_wen_matrix([[3, 2], [2, 3]]), (0.1 + 0.2j, 0j))
 
     @pytest.mark.parametrize(
