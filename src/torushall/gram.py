@@ -56,6 +56,7 @@ from .wavefunctions import center_basis_batch  # noqa: F401  bench/test_bench.py
 from .wen import PiElement, WenMatrix, pi_group, pi_scale
 
 DEFAULT_TOL = 1e-12
+DEFAULT_BUDGET = 1 << 26
 
 
 class QuadratureTooCoarseError(RuntimeError):
@@ -68,13 +69,12 @@ class SamplingBudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate the many-body Gram: tensor Gauss-Legendre or scrambled Sobol.
+    """How to integrate: tensor Gauss-Legendre or scrambled Sobol.
 
     scheme 'auto' picks the tensor grid when points_per_axis**dim stays
     within budget and falls back to QMC otherwise.  QMC totals are split
     into ``replicates`` independently scrambled streams whose spread gives
-    the standard error.  The center-of-mass Gram reads the budget only; it
-    works out its own points per axis.
+    the standard error.
     """
 
     scheme: str = "auto"
@@ -82,7 +82,7 @@ class QuadratureSpec:
     samples: int = 1 << 20
     seed: int = 0
     replicates: int = 16
-    budget: int = 1 << 26
+    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         if self.scheme not in ("auto", "tensor-gauss", "qmc"):
@@ -335,8 +335,10 @@ def _gram_center_at(
     sign is (-1)^(sum w_ik) (-1)^(sum w_jl), so it splits over the pair.  With
     E_c[k, y] = C_k exp(2 pi i tau m_k.y) (p^-g h(y))^(1/2) on the p^g height
     nodes (splitting the weight keeps every entry at most about 1), the
-    signed rows of each coset are summed per residue into F_c[r, y], and
-    G_ij = sum_{r, y} F_i conj(F_j).
+    signed rows of each coset are summed per residue into F_c[r, y], one row
+    for each residue that occurs among the coset's terms (so no more rows
+    than terms), and G_ij = sum_{r, y} F_i conj(F_j) over the residues the
+    two cosets share.
     """
     g = K.g
     ygrid = _tensor_grid(midpoint_nodes(p), g)
@@ -352,19 +354,25 @@ def _gram_center_at(
         e[dropped] = 0
         wraps, residues = np.divmod(m, p)
         e *= (1 - 2 * (wraps.sum(axis=1) % 2))[:, None]
-        f = np.zeros((p**g, ygrid.shape[0]), dtype=complex)
-        np.add.at(f, residues @ place, e)
-        sums[c] = f
+        codes, rows = np.unique(residues @ place, return_inverse=True)
+        f = np.zeros((codes.size, ygrid.shape[0]), dtype=complex)
+        np.add.at(f, rows, e)
+        sums[c] = (codes, f)
 
     d = len(cs)
     gmat = np.empty((d, d), dtype=complex)
     for i in range(d):
-        gmat[i, i] = np.vdot(sums[cs[i]], sums[cs[i]]).real
+        f = sums[cs[i]][1]
+        gmat[i, i] = np.vdot(f, f).real
         for j in range(i + 1, d):
             # orient each pair by basis value, not slot, so a permuted
             # ordering reproduces bit-identical estimates
             lo, hi = (i, j) if cs[i] <= cs[j] else (j, i)
-            gmat[lo, hi] = np.vdot(sums[cs[hi]], sums[cs[lo]])
+            (codes_lo, f_lo), (codes_hi, f_hi) = sums[cs[lo]], sums[cs[hi]]
+            _, r_hi, r_lo = np.intersect1d(
+                codes_hi, codes_lo, assume_unique=True, return_indices=True
+            )
+            gmat[lo, hi] = np.vdot(f_hi[r_hi], f_lo[r_lo])
             gmat[hi, lo] = np.conj(gmat[lo, hi])
     return gmat
 
@@ -388,7 +396,6 @@ def gram_center(
     K: WenMatrix,
     xi,
     tau: TorusParams | complex,
-    quad: QuadratureSpec | None = None,
     ordering: Sequence[PiElement] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> GramReport:
@@ -396,23 +403,23 @@ def gram_center(
 
     The per-axis points p come from the a-priori aliasing bound (see
     ``_rule_points``), so that the rule's error stays below about tol/4 of
-    kappa on top of the series truncation; of ``quad`` only the budget is
-    read, and it bounds the (lattice term x height node) entries formed.
+    kappa on top of the series truncation.  DEFAULT_BUDGET bounds the
+    (lattice term x height node) entries formed at p and at the check p,
+    which also bounds the rows summed per residue.
     Reports the off-diagonal/diagonal ratio, the diagonal spread, the
     relative mismatch against the closed-form kappa, and as
     ``doubling_shift`` the largest entry shift seen at the next p above it
     coprime to delta (a convergence indicator).
     """
-    quad = quad or QuadratureSpec()
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
     cs = tuple(ordering) if ordering is not None else pi_group(K).elements
-    p, p_check = _rule_points(K, tp.t, tol, quad.budget)
+    p, p_check = _rule_points(K, tp.t, tol, DEFAULT_BUDGET)
     terms = _center_terms(K, xi, tp, cs, tol)
     formed = sum(m.shape[0] for m, _ in terms.values()) * (p**K.g + p_check**K.g)
-    if formed > quad.budget:
+    if formed > DEFAULT_BUDGET:
         raise SamplingBudgetExceededError(
             f"{formed} term x height-node entries at p = {p} and {p_check} "
-            f"exceed the budget {quad.budget}"
+            f"exceed the budget {DEFAULT_BUDGET}"
         )
     gmat = _gram_center_at(K, xi, tp, cs, terms, p)
     check = _gram_center_at(K, xi, tp, cs, terms, p_check)

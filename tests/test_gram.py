@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from torushall.gram import (
+    DEFAULT_BUDGET,
     QuadratureSpec,
     QuadratureTooCoarseError,
     SamplingBudgetExceededError,
@@ -140,7 +142,9 @@ class TestInnerProductCenter:
         xi = (0.1 + 0.2j,)
         grp = pi_group(K)
         fns = [center_fn(K, xi, tau, c) for c in grp.elements]
-        quad = QuadratureSpec(points_per_axis=32)
+        # p coprime to delta: at a multiple of delta the grid is invariant under
+        # the magnetic translations and g01 would vanish whatever p
+        quad = QuadratureSpec(points_per_axis=31)
         g00 = inner_product_center(K, xi, tau, fns[0], fns[0], quad)
         g01 = inner_product_center(K, xi, tau, fns[0], fns[1], quad)
         assert abs(g01) / abs(g00) < 1e-8
@@ -291,6 +295,21 @@ class TestGramCenter:
         assert orthogonal["name"] == "gram.center_orthogonal"
         assert orthogonal["verdict"] == "FAIL"
         assert abs(report.offdiag_ratio - 1) < 1e-12
+
+    def test_memory_bounded_by_budget_three_layers(self):
+        # at large Im tau p grows while the lattice terms are few: the residue
+        # sums keep one row per occurring residue, not p^g rows per coset
+        K = validate_wen_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+        tracemalloc.start()
+        try:
+            report = gram_center(K, (0.1 + 0.05j, 0j, 0j), TorusParams(11j))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rule_points(report, K) == 19
+        assert peak < DEFAULT_BUDGET * np.dtype(complex).itemsize
+        assert report.kappa_rel_err < 1e-10
+        assert max(report.offdiag_ratio, report.diag_spread) < 1e-10
 
     def test_doubling_shift_small(self):
         K = validate_wen_matrix([[2]])
