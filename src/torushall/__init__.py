@@ -2,127 +2,32 @@
 
 Exact coupling-matrix algebra, error-bounded theta evaluation, finite
 Heisenberg representations, many-body wave functions, Gram-matrix
-verification by quadrature, and exact bundle invariants.
+verification by quadrature, and exact bundle invariants.  The top level
+exports the entry points of the README's library example and of the
+benchmark; everything else is reached through its module.
 """
 
-from .bundles import (
-    BundleInvariants,
-    chern1_matrix,
-    dual_lattice_generators,
-    jain_fraction,
-    max_pairing_offset,
-    restricted_invariants,
-    total_chern,
-)
-from .gram import (
-    GramReport,
-    QuadratureSpec,
-    gram_center,
-    gram_manybody,
-    inner_product_center,
-    kappa_closed_form,
-    metric_weight_1d,
-    metric_weight_g,
-)
-from .heisenberg import (
-    HeisenbergElement,
-    RepMatrices,
-    identity_element,
-    inverse,
-    irreducibility_norm,
-    multiply,
-    rep_matrices,
-    upsilon,
-    upsilon_exponent,
-)
-from .theta import (
-    OmegaMatrix,
-    ThetaCharacteristics,
-    TorusParams,
-    TruncationPlan,
-    jacobi_theta,
-    jacobi_theta_batch,
-    riemann_theta,
-    riemann_theta_batch,
-    theta_odd,
-    theta_odd_batch,
-    truncation_plan,
-)
-from .wavefunctions import (
-    Configuration,
-    WaveFunctionSpec,
-    center_basis,
-    hr_wavefunction,
-    jastrow_factor,
-    kvw_wavefunction,
-    magnetic_action_residual,
-    magnetic_translation,
-    one_particle_basis,
-)
-from .wen import (
-    PiGroup,
-    WenDatum,
-    WenMatrix,
-    jain_matrix,
-    pi_group,
-    u_order,
-    validate_wen_datum,
-    validate_wen_matrix,
-)
+from .bundles import max_pairing_offset, restricted_invariants
+from .gram import QuadratureSpec, gram_center, gram_manybody
+from .heisenberg import irreducibility_norm, rep_matrices
+from .theta import TorusParams
+from .wavefunctions import WaveFunctionSpec
+from .wen import jain_matrix, pi_group, validate_wen_datum, validate_wen_matrix
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BundleInvariants",
-    "Configuration",
-    "GramReport",
-    "HeisenbergElement",
-    "OmegaMatrix",
-    "PiGroup",
     "QuadratureSpec",
-    "RepMatrices",
-    "ThetaCharacteristics",
     "TorusParams",
-    "TruncationPlan",
     "WaveFunctionSpec",
-    "WenDatum",
-    "WenMatrix",
-    "center_basis",
-    "chern1_matrix",
-    "dual_lattice_generators",
     "gram_center",
     "gram_manybody",
-    "hr_wavefunction",
-    "identity_element",
-    "inner_product_center",
-    "inverse",
     "irreducibility_norm",
-    "jacobi_theta",
-    "jacobi_theta_batch",
-    "jain_fraction",
     "jain_matrix",
-    "jastrow_factor",
-    "kappa_closed_form",
-    "kvw_wavefunction",
-    "magnetic_action_residual",
-    "magnetic_translation",
     "max_pairing_offset",
-    "metric_weight_1d",
-    "metric_weight_g",
-    "multiply",
-    "one_particle_basis",
     "pi_group",
     "rep_matrices",
     "restricted_invariants",
-    "riemann_theta",
-    "riemann_theta_batch",
-    "theta_odd",
-    "theta_odd_batch",
-    "total_chern",
-    "truncation_plan",
-    "u_order",
-    "upsilon",
-    "upsilon_exponent",
     "validate_wen_datum",
     "validate_wen_matrix",
 ]

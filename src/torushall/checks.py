@@ -254,17 +254,16 @@ def check_heisenberg(datum: wen.WenDatum) -> list[dict]:
 def gram_center_records(
     report: gram.GramReport, orthogonal_tol: float | None = None
 ) -> list[dict]:
-    """The records gram-center reports: orthogonality and the closed-form norm."""
+    """The center Gram's records: orthogonality, equal norms and the closed-form norm."""
     return [
         record("gram.center_orthogonal", report.offdiag_ratio, orthogonal_tol),
+        record("gram.center_scalar", report.diag_spread),
         record("gram.center_kappa", report.kappa_rel_err),
     ]
 
 
 def check_gram_center(K: wen.WenMatrix, xi, tau) -> list[dict]:
-    report = gram.gram_center(K, xi, tau)
-    orthogonal, kappa = gram_center_records(report)
-    return [orthogonal, record("gram.center_scalar", report.diag_spread), kappa]
+    return gram_center_records(gram.gram_center(K, xi, tau))
 
 
 def gram_manybody_records(report: gram.GramReport) -> list[dict]:

@@ -301,13 +301,22 @@ def cmd_verify_all(args) -> int:
     return _finish_checks(args, "verify-all", records)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 FLAGS = {
     "input": dict(required=True, help="input document (JSON or matrix text)"),
     "tol": dict(type=float, default=1e-12, help="series tolerance (at least 1e-14)"),
     "points": dict(
-        type=int, default=gram.QuadratureSpec.points_per_axis, help="quadrature points per axis"
+        type=_positive_int,
+        default=gram.QuadratureSpec.points_per_axis,
+        help="quadrature points per axis",
     ),
-    "samples": dict(type=int, default=1 << 20, help="QMC sample total"),
+    "samples": dict(type=_positive_int, default=1 << 20, help="QMC sample total"),
     "seed": dict(type=int, default=0, help="random seed"),
 }
 
@@ -372,7 +381,7 @@ def main(argv=None) -> int:
         NonconvergentModulusError,
         ToleranceTooSmallError,
         gram.SamplingBudgetExceededError,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Hermitian metrics, scalar products by quadrature, and Gram verification.
+"""Hermitian metrics and Gram-matrix verification by quadrature.
 
 On the center-of-mass torus, sections are weighed by
 
@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import qmc
@@ -57,10 +57,6 @@ from .wen import PiElement, WenMatrix, pi_group, pi_scale
 
 DEFAULT_TOL = 1e-12
 DEFAULT_BUDGET = 1 << 26
-
-
-class QuadratureTooCoarseError(RuntimeError):
-    """Halving the per-axis points moved the result by more than the tolerance."""
 
 
 class SamplingBudgetExceededError(RuntimeError):
@@ -125,29 +121,6 @@ class GramReport:
 # metric weights
 
 
-def decompose(z, tau: TorusParams | complex):
-    """Real coordinates (x, y) of z = x + tau y."""
-    tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
-    zz = np.asarray(z, dtype=complex)
-    y = zz.imag / tp.t
-    x = zz.real - tp.s * y
-    return x, y
-
-
-def metric_weight_1d(k: int, xi: complex, tau: TorusParams | complex, z):
-    """exp(-2 pi k t y^2 - 4 pi a t y) with z = x + tau y, xi = b + tau a."""
-    tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
-    _, y = decompose(z, tp)
-    return np.exp(_log_height_weight([[k]], [xi], tp, y[..., None]))
-
-
-def metric_weight_g(K: WenMatrix, xi, tau: TorusParams | complex, z):
-    """exp(-2 pi t (y, K y + 2 a)) for z an (..., g) array."""
-    tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
-    _, y = decompose(z, tp)
-    return np.exp(_log_height_weight(K.entries, xi, tp, y))
-
-
 def _log_height_weight(kmat, xi, tp: TorusParams, y: np.ndarray) -> np.ndarray:
     """-2 pi t (y'K y + 2 a.y) at an (..., m) array of heights y, xi = b + tau a.
 
@@ -197,53 +170,6 @@ def _tensor_grid(nodes: np.ndarray, g: int) -> np.ndarray:
     return np.stack([gr.ravel() for gr in grids], axis=-1)
 
 
-def inner_product_center(
-    K: WenMatrix,
-    xi,
-    tau: TorusParams | complex,
-    f1: Callable[[np.ndarray], np.ndarray],
-    f2: Callable[[np.ndarray], np.ndarray],
-    quad: QuadratureSpec | None = None,
-    check_tol: float | None = None,
-) -> complex:
-    """Midpoint trapezoid estimate of the weighted scalar product on the full grid.
-
-    f1, f2 must accept an (M, g) complex array of points z = x + tau y and
-    return (M,) values; they are evaluated at all p^{2g} nodes, p the
-    per-axis points of ``quad``.  With check_tol set, the estimate is
-    recomputed at half the per-axis points and QuadratureTooCoarseError is
-    raised when the two results differ by more than check_tol.
-    """
-    quad = quad or QuadratureSpec()
-    tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
-
-    def estimate(p: int) -> complex:
-        if p ** (2 * K.g) > quad.budget:
-            raise SamplingBudgetExceededError(
-                f"{p}^{2 * K.g} grid points exceed the budget {quad.budget}"
-            )
-        xg = yg = _tensor_grid(midpoint_nodes(p), K.g)
-        wy = np.exp(_log_height_weight(K.entries, xi, tp, yg)) / p ** (2 * K.g)
-        total = 0.0 + 0.0j
-        block = max(1, (1 << 22) // max(1, xg.shape[0]))
-        for start in range(0, yg.shape[0], block):
-            stop = min(start + block, yg.shape[0])
-            zb = xg[None, :, :] + tp.tau * yg[start:stop, None, :]
-            flat = zb.reshape(-1, K.g)
-            v = (f1(flat) * np.conj(f2(flat))).reshape(stop - start, -1)
-            total += wy[start:stop] @ v.sum(axis=1)
-        return complex(total)
-
-    value = estimate(quad.points_per_axis)
-    if check_tol is not None:
-        coarse = estimate(max(2, quad.points_per_axis // 2))
-        if abs(value - coarse) > check_tol:
-            raise QuadratureTooCoarseError(
-                f"halving the grid moved the result by {abs(value - coarse):.3e}"
-            )
-    return value
-
-
 # ---------------------------------------------------------------------------
 # center-of-mass Gram by the midpoint rule, summed per frequency residue
 
@@ -252,6 +178,10 @@ def inner_product_center(
 # A Gram entry over N x N terms loses less than N^2 p^g tiny^(1/2) times the
 # largest |E|, which is about 1.
 _LOG_FLOOR = 0.5 * math.log(np.finfo(float).tiny)
+
+# the center Gram records (orthogonal, scalar) hold their entries to 1e-8 of
+# kappa, so the rule's aliasing is bounded at least that tightly
+_RULE_TOL_MAX = 1e-8
 
 
 def _rule_points(K: WenMatrix, t: float, tol: float, budget: int) -> tuple[int, int]:
@@ -366,7 +296,7 @@ def _gram_center_at(
         gmat[i, i] = np.vdot(f, f).real
         for j in range(i + 1, d):
             # orient each pair by basis value, not slot, so a permuted
-            # ordering reproduces bit-identical estimates
+            # basis order reproduces bit-identical estimates
             lo, hi = (i, j) if cs[i] <= cs[j] else (j, i)
             (codes_lo, f_lo), (codes_hi, f_hi) = sums[cs[lo]], sums[cs[hi]]
             _, r_hi, r_lo = np.intersect1d(
@@ -396,14 +326,15 @@ def gram_center(
     K: WenMatrix,
     xi,
     tau: TorusParams | complex,
-    ordering: Sequence[PiElement] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> GramReport:
     """Gram matrix of the center-of-mass theta basis by the midpoint trapezoid rule.
 
     The per-axis points p come from the a-priori aliasing bound (see
     ``_rule_points``), so that the rule's error stays below about tol/4 of
-    kappa on top of the series truncation.  DEFAULT_BUDGET bounds the
+    kappa on top of the series truncation; the rule is sized at tol or at
+    _RULE_TOL_MAX, whichever is smaller, so a loose tol loosens only the
+    series and not the scalar Gram records.  DEFAULT_BUDGET bounds the
     (lattice term x height node) entries formed at p and at the check p,
     which also bounds the rows summed per residue.
     Reports the off-diagonal/diagonal ratio, the diagonal spread, the
@@ -412,8 +343,8 @@ def gram_center(
     coprime to delta (a convergence indicator).
     """
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
-    cs = tuple(ordering) if ordering is not None else pi_group(K).elements
-    p, p_check = _rule_points(K, tp.t, tol, DEFAULT_BUDGET)
+    cs = pi_group(K).elements
+    p, p_check = _rule_points(K, tp.t, min(tol, _RULE_TOL_MAX), DEFAULT_BUDGET)
     terms = _center_terms(K, xi, tp, cs, tol)
     formed = sum(m.shape[0] for m, _ in terms.values()) * (p**K.g + p_check**K.g)
     if formed > DEFAULT_BUDGET:

@@ -6,9 +6,9 @@ with the product twisted by the pairing
     upsilon(a, b) = exp(2 pi i a' K b),
 
 a root of unity of order dividing delta.  Roots of unity are carried as
-integer exponents modulo delta throughout, so all group-law identities
-checked here are exact integer statements; complex matrices are only
-materialized at the API boundary.
+integer exponents modulo delta throughout, so the translation relations
+and the character norm are exact integer statements; complex matrices are
+only materialized at the API boundary.
 
 The representation matrices are those of the magnetic translations on the
 distinguished theta basis: T1 acts diagonally with eigenvalue
@@ -26,20 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .wen import (
-    PiElement,
-    WenDatum,
-    WenMatrix,
-    pi_add,
-    pi_canonical,
-    pi_group,
-    pi_neg,
-    pi_scale,
-)
+from .wen import PiElement, WenDatum, WenMatrix, pi_add, pi_group, pi_scale
 
 
 class NonCyclicBasisOrderError(ValueError):
-    """Cyclic (powers-of-u) ordering requested for a non-primary matrix."""
+    """The powers of u do not exhaust the coset group of a primary matrix."""
 
 
 def upsilon_exponent(a: Sequence[Fraction], b: Sequence[Fraction], K: WenMatrix) -> int:
@@ -65,46 +56,6 @@ def upsilon(a: Sequence[Fraction], b: Sequence[Fraction], K: WenMatrix) -> compl
 
 def root_of_unity(exponent: int, order: int) -> complex:
     return complex(np.exp(2j * np.pi * (exponent % order) / order))
-
-
-@dataclass(frozen=True)
-class HeisenbergElement:
-    """Group element ((a, b), gamma); gamma stored as an exponent mod delta.
-
-    ``sign`` is the extra central +-1 of the sign-twisted double cover used
-    in the odd-sector setting; the group law multiplies signs independently
-    and the representation matrices are unchanged.
-    """
-
-    a: PiElement
-    b: PiElement
-    gamma: int
-    sign: int = 1
-
-
-def identity_element(K: WenMatrix) -> HeisenbergElement:
-    zero = pi_canonical([Fraction(0)] * K.g)
-    return HeisenbergElement(a=zero, b=zero, gamma=0)
-
-
-def multiply(x: HeisenbergElement, y: HeisenbergElement, K: WenMatrix) -> HeisenbergElement:
-    """Group law: the cocycle contributes upsilon(a_x, b_y) to the center."""
-    return HeisenbergElement(
-        a=pi_add(x.a, y.a),
-        b=pi_add(x.b, y.b),
-        gamma=(x.gamma + y.gamma + upsilon_exponent(x.a, y.b, K)) % K.delta,
-        sign=x.sign * y.sign,
-    )
-
-
-def inverse(x: HeisenbergElement, K: WenMatrix) -> HeisenbergElement:
-    """Inverse solved from the group law: gamma^{-1} = upsilon(a,b) - gamma."""
-    return HeisenbergElement(
-        a=pi_neg(x.a),
-        b=pi_neg(x.b),
-        gamma=(upsilon_exponent(x.a, x.b, K) - x.gamma) % K.delta,
-        sign=x.sign,
-    )
 
 
 @dataclass(frozen=True)
@@ -172,28 +123,21 @@ class RepMatrices:
                 raise AssertionError("T1 T2 != q T2 T1")
 
 
-def rep_matrices(datum: WenDatum, ordering: str = "auto") -> RepMatrices:
+def rep_matrices(datum: WenDatum) -> RepMatrices:
     """Representation matrices of the magnetic translations.
 
-    ordering='cyclic' lists the basis along powers of u (requires a primary
-    matrix), 'group' uses the lexicographic coset order, and 'auto' picks
-    cyclic when available.  The relations are checked by
+    The basis is listed along the powers of u for a primary matrix and in
+    the lexicographic coset order otherwise.  The relations are checked by
     ``RepMatrices.verify_relations``, not here.
     """
     K = datum.matrix
     u = K.u_class()
-    if ordering not in ("auto", "cyclic", "group"):
-        raise ValueError(f"unknown ordering {ordering!r}")
-    if ordering == "cyclic" and not K.primary:
-        raise NonCyclicBasisOrderError(
-            "powers of u do not exhaust the group for a non-primary matrix"
-        )
-    if ordering == "group" or (ordering == "auto" and not K.primary):
-        basis = pi_group(K).elements
-    else:
+    if K.primary:
         basis = tuple(pi_scale(i, u) for i in range(K.delta))
         if len(set(basis)) != K.delta:
             raise NonCyclicBasisOrderError("u does not generate the group")
+    else:
+        basis = pi_group(K).elements
     index = {c: i for i, c in enumerate(basis)}
     q_exp = upsilon_exponent(u, u, K)
     if q_exp != K.rho % K.delta:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
@@ -45,10 +44,6 @@ def pair_to_complex(value: Any, what: str) -> complex:
 
 def complex_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
-
-
-def fraction_to_str(fr: Fraction) -> str:
-    return str(fr)
 
 
 def parse_document(obj: Any) -> InputDocument:
@@ -105,11 +100,6 @@ def load_input(path: str | Path) -> InputDocument:
     if not rows:
         raise SchemaError("empty matrix document")
     return parse_document({"K": rows})
-
-
-def matrix_text(mat) -> str:
-    """Row-major plain-text form of an integer matrix."""
-    return "\n".join(" ".join(str(int(x)) for x in row) for row in mat)
 
 
 def render_json(report: dict) -> str:

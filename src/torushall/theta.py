@@ -148,10 +148,8 @@ class TruncationPlan:
     """Integer window that keeps the discarded theta tail below tol/2 for each of ``a``."""
 
     halfwidth: int
-    lambda_min: float
     g: int
     a: tuple[tuple[float, ...], ...]
-    tol: float
 
 
 def _tail_halfwidth(lambda_min: float, g: int, tol: float) -> int:
@@ -187,10 +185,8 @@ def truncation_plan(omega: OmegaMatrix, a, tol: float) -> TruncationPlan:
         raise ValueError(f"characteristics must have g = {g} entries each")
     return TruncationPlan(
         halfwidth=_tail_halfwidth(omega.lambda_min, g, tol) + 1,
-        lambda_min=omega.lambda_min,
         g=g,
         a=tuple(tuple(float(x) for x in row) for row in chars),
-        tol=tol,
     )
 
 
@@ -307,16 +303,12 @@ def riemann_theta_batch(
     z,
     omega: OmegaMatrix,
     tol: float = 1e-12,
-    plan: TruncationPlan | None = None,
 ) -> np.ndarray:
     """Theta[a,b] at an (M, g) array of points, one shared window."""
     zz = np.atleast_2d(np.asarray(z, dtype=complex))
     if zz.shape[1] != omega.g or chars.g != omega.g:
         raise ValueError("dimension mismatch between z, Omega, characteristics")
-    if plan is None:
-        plan = truncation_plan(omega, chars.a, tol)
-    elif plan.a != (tuple(float(x) for x in chars.a),):
-        raise ValueError("the truncation plan was made for other characteristics")
+    plan = truncation_plan(omega, chars.a, tol)
     return _theta_sum(omega, plan, np.asarray(chars.b, dtype=float), zz)[:, 0]
 
 

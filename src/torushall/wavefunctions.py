@@ -3,8 +3,9 @@
 Building blocks, for a datum (K, n) with K n = d e on the torus of modulus
 tau and boundary parameter xi:
 
-* one-particle basis   h_j(z) = theta[(j-1)/k, 0](k z + xi | k tau),
-* center-of-mass basis H_c(w) = Theta[c, 0](K w + xi | tau K),
+* center-of-mass basis H_c(w) = Theta[c, 0](K w + xi | tau K); for one
+  layer, K = [[k]] and c = (j-1)/k, it is the one-particle basis
+  theta[(j-1)/k, 0](k w + xi | k tau),
 * coincidence factor   D = prod_k prod_{p<q} v(z_p^k - z_q^k)^{K_kk}
                          * prod_{k<l} prod_{p,q} v(z_p^k - z_q^l)^{K_kl},
   with v the odd theta function, vanishing on every coupled diagonal,
@@ -29,23 +30,11 @@ from typing import Sequence
 import numpy as np
 
 from .heisenberg import upsilon
-from .theta import (
-    OmegaMatrix,
-    TorusParams,
-    _theta_sum,
-    jacobi_theta,
-    theta_odd,
-    theta_odd_batch,
-    truncation_plan,
-)
+from .theta import OmegaMatrix, TorusParams, _theta_sum, theta_odd_batch, truncation_plan
 from .wen import PiElement, WenDatum, pi_add, pi_group
 
 
 class ShapeMismatchError(ValueError):
-    pass
-
-
-class IndexOutOfRangeError(ValueError):
     pass
 
 
@@ -58,15 +47,6 @@ class Configuration:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.layers)
-
-    def w(self) -> np.ndarray:
-        """Per-layer coordinate sums, recomputed on every call."""
-        return np.array([sum(layer) for layer in self.layers], dtype=complex)
-
-    def shift_one(self, k: int, p: int, delta: complex) -> "Configuration":
-        layers = [list(layer) for layer in self.layers]
-        layers[k][p] += delta
-        return Configuration(tuple(tuple(layer) for layer in layers))
 
 
 @dataclass(frozen=True)
@@ -98,35 +78,6 @@ class WaveFunctionSpec:
         return self.datum.matrix.epsilon * (-1) ** self.datum.d
 
 
-def _check_sizes(datum: WenDatum, config: Configuration) -> None:
-    if config.sizes != datum.n_vec:
-        raise ShapeMismatchError(
-            f"configuration sizes {config.sizes} do not match n = {datum.n_vec}"
-        )
-
-
-def one_particle_basis(
-    k: int,
-    xi: complex,
-    tau: TorusParams | complex,
-    j: int,
-    z: complex,
-    tol: float = 1e-12,
-) -> complex:
-    """h_j(z) = theta[(j-1)/k, 0](k z + xi | k tau) for j = 1..k."""
-    if not 1 <= j <= k:
-        raise IndexOutOfRangeError(f"j = {j} outside 1..{k}")
-    tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
-    return jacobi_theta((j - 1) / k, 0.0, k * z + xi, TorusParams(k * tp.tau), tol)
-
-
-def center_basis(
-    spec: WaveFunctionSpec, c: PiElement, w, tol: float = 1e-12
-) -> complex:
-    """H_c(w) = Theta[c, 0](K w + xi | tau K) at one center point w."""
-    return complex(center_basis_batch(spec, c, np.asarray(w, dtype=complex)[None, :], tol)[0])
-
-
 def center_basis_batch(
     spec: WaveFunctionSpec, c: PiElement, w, tol: float = 1e-12
 ) -> np.ndarray:
@@ -144,15 +95,6 @@ def center_basis_values(
     omega = spec.omega()
     plan = truncation_plan(omega, cs, tol)
     return _theta_sum(omega, plan, np.zeros(spec.g), arg).T
-
-
-def jastrow_factor(
-    datum: WenDatum, tau: TorusParams | complex, config: Configuration, tol: float = 1e-12
-) -> complex:
-    """The coincidence factor D at one configuration."""
-    _check_sizes(datum, config)
-    layers = [np.asarray(layer, dtype=complex)[None, :] for layer in config.layers]
-    return complex(jastrow_batch(datum, tau, layers, tol)[0])
 
 
 def jastrow_batch(
@@ -198,37 +140,11 @@ def kvw_wavefunction(
     spec: WaveFunctionSpec, c: PiElement, config: Configuration, tol: float = 1e-12
 ) -> complex:
     """Phi_c = H_c(w) * D at one configuration."""
-    _check_sizes(spec.datum, config)
+    if config.sizes != spec.datum.n_vec:
+        raise ShapeMismatchError(
+            f"configuration sizes {config.sizes} do not match n = {spec.datum.n_vec}"
+        )
     return complex(phi_values(spec, (c,), configuration_array([config]), tol)[0, 0])
-
-
-def hr_wavefunction(
-    m: int,
-    n: int,
-    xi: complex,
-    tau: TorusParams | complex,
-    j: int,
-    z: Sequence[complex],
-    tol: float = 1e-12,
-) -> complex:
-    """Single-layer wave function theta[(j-1)/m, 0](m w + xi | m tau) * D_m.
-
-    Symmetric in the coordinates for even m, antisymmetric for odd m;
-    vanishes to order m on every coincidence diagonal.
-    """
-    if not 1 <= j <= m:
-        raise IndexOutOfRangeError(f"j = {j} outside 1..{m}")
-    zs = tuple(complex(x) for x in z)
-    if len(zs) != n:
-        raise ShapeMismatchError(f"got {len(zs)} coordinates, expected n = {n}")
-    tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
-    w = sum(zs)
-    center = jacobi_theta((j - 1) / m, 0.0, m * w + xi, TorusParams(m * tp.tau), tol)
-    d = 1.0 + 0.0j
-    for p in range(n):
-        for q in range(p + 1, n):
-            d *= theta_odd(zs[p] - zs[q], tp, tol) ** m
-    return center * d
 
 
 def lattice_shift_factor(spec: WaveFunctionSpec, k, z, direction: str):

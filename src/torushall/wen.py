@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -32,6 +32,10 @@ PiElement = tuple[Fraction, ...]
 
 class WenValidationError(ValueError):
     """A structural axiom failed; the subclass names the violated axiom."""
+
+
+class MalformedMatrixError(WenValidationError):
+    """The matrix is empty, not square, or has non-integer entries."""
 
 
 class NotSymmetricError(WenValidationError):
@@ -66,11 +70,11 @@ def _as_int_matrix(mat: Sequence[Sequence[int]]) -> IntMatrix:
     rows = tuple(tuple(int(x) for x in row) for row in mat)
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square and non-empty")
+        raise MalformedMatrixError("matrix must be square and non-empty")
     for row, orig in zip(rows, mat):
         for x, y in zip(row, orig):
             if x != y:
-                raise ValueError("matrix entries must be integers")
+                raise MalformedMatrixError("matrix entries must be integers")
     return rows
 
 
@@ -226,17 +230,8 @@ def pi_add(x: PiElement, y: PiElement) -> PiElement:
     return tuple((u + v) % 1 for u, v in zip(x, y))
 
 
-def pi_neg(x: PiElement) -> PiElement:
-    return tuple((-u) % 1 for u in x)
-
-
 def pi_scale(m: int, x: PiElement) -> PiElement:
     return tuple((m * u) % 1 for u in x)
-
-
-def pi_order(x: PiElement) -> int:
-    """Smallest k >= 1 with k*x integral: the lcm of the denominators."""
-    return lcm(*(u.denominator for u in x)) if x else 1
 
 
 class PiGroup:
@@ -424,7 +419,3 @@ def pi_group(K: WenMatrix) -> PiGroup:
         )
     return PiGroup(invariant_factors=diag, elements=tuple(sorted(elems)))
 
-
-def u_order(datum: WenDatum) -> int:
-    """Order of the coset of u = K^{-1}e in Pi; equals delta iff K is primary."""
-    return pi_order(datum.matrix.u_class())

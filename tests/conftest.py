@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torushall.wen import WenMatrix, WenValidationError, validate_wen_matrix
+from torushall.wen import WenMatrix, WenValidationError, pi_scale, validate_wen_matrix
 
 
 def random_wen_matrix(
@@ -32,6 +32,12 @@ def random_wen_matrix(
             return validate_wen_matrix(m)
         except WenValidationError:
             continue
+
+
+def u_order(K: WenMatrix) -> int:
+    """Order of the coset of u = K^{-1}e in Pi: the number of distinct multiples of u."""
+    u = K.u_class()
+    return len({pi_scale(m, u) for m in range(K.delta)})
 
 
 @pytest.fixture

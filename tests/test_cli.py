@@ -8,9 +8,7 @@ from torushall.cli import main
 from torushall.serialize import (
     SchemaError,
     complex_to_pair,
-    fraction_to_str,
     load_input,
-    matrix_text,
     pair_to_complex,
     parse_document,
 )
@@ -74,16 +72,13 @@ class TestSchema:
         assert doc.K == ((2, 1), (1, 2))
 
     def test_matrix_roundtrip(self, tmp_path):
-        text = matrix_text([[3, 2], [2, 3]])
         path = tmp_path / "k.txt"
-        path.write_text(text)
+        path.write_text("3 2\n2 3")
         assert load_input(path).K == ((3, 2), (2, 3))
 
     def test_scalar_serializers(self):
         assert pair_to_complex([1.5, -2.0], "z") == 1.5 - 2j
         assert complex_to_pair(0.5 + 0.25j) == [0.5, 0.25]
-        assert fraction_to_str(Fraction(-2, 5)) == "-2/5"
-        assert fraction_to_str(Fraction(3)) == "3"
 
 
 class TestCli:
@@ -117,6 +112,34 @@ class TestCli:
 
     def test_missing_file_exit_two(self, capsys):
         assert main(["validate", "--input", "/nonexistent/k.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "command,document",
+        [
+            (["validate"], {"K": []}),
+            (["validate"], {"K": [[1, 2]]}),
+            (["validate"], {"K": [[2, 1], [1]]}),
+            (["gram-manybody", "--samples", "0"], {"K": [[2]]}),
+            (["gram-manybody", "--points", "0"], {"K": [[2]]}),
+            (["validate", "--input", "{dir}"], None),
+            (["wf-eval", "--config", "{dir}"], {"K": [[2]]}),
+        ],
+        ids=["empty", "not-square", "ragged", "samples-0", "points-0", "input-dir", "config-dir"],
+    )
+    def test_malformed_input_exit_two(self, command, document, tmp_path, capsys):
+        # input errors exit 2 with a message, never 1 with a traceback
+        argv = [arg.format(dir=tmp_path) for arg in command]
+        if document is not None:
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(document))
+            argv += ["--input", str(path)]
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad flag value itself
+            status = exc.code
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.err and captured.out == ""
 
     def test_validate_datum(self, k22_doc, capsys):
         assert main(["validate", "--input", k22_doc]) == 0
@@ -247,8 +270,10 @@ class TestCli:
             return real(*args, tol=tol, **kwargs)
 
         monkeypatch.setattr(gram, "gram_center", spy)
+        # a loose series tol does not coarsen the rule below the records' 1e-8
         assert main(["gram-center", "--input", k2_doc, "--tol", "1e-6"]) == 0
         assert seen == [1e-6]
+        assert "FAIL" not in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "command",
@@ -328,5 +353,6 @@ class TestReadmeRecords:
     def test_gram_center(self, readme_doc, capsys):
         assert self._records("gram-center", readme_doc, capsys) == [
             ("gram.center_orthogonal", 1e-8),
+            ("gram.center_scalar", 1e-8),
             ("gram.center_kappa", 1e-6),
         ]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,14 +8,11 @@ import pytest
 from torushall.gram import (
     DEFAULT_BUDGET,
     QuadratureSpec,
-    QuadratureTooCoarseError,
     SamplingBudgetExceededError,
+    _log_height_weight,
     gram_center,
     gram_manybody,
-    inner_product_center,
     kappa_closed_form,
-    metric_weight_1d,
-    metric_weight_g,
 )
 from torushall.theta import (
     OmegaMatrix,
@@ -22,7 +20,7 @@ from torushall.theta import (
     TorusParams,
     riemann_theta_batch,
 )
-from torushall.wavefunctions import WaveFunctionSpec, one_particle_basis
+from torushall.wavefunctions import WaveFunctionSpec
 from torushall.wen import (
     jain_matrix,
     pi_add,
@@ -47,6 +45,27 @@ def center_fn(K, xi, tau, c):
     return fn
 
 
+def weight(kmat, xi, z, tau=TAU):
+    """The metric weight exp(-2 pi t (y'K y + 2 a.y)) at an (..., g) array of points z."""
+    y = np.asarray(z, dtype=complex).imag / tau.t
+    return np.exp(_log_height_weight(kmat, xi, tau, y))
+
+
+def inner_product_center(K, xi, tau, f1, f2, p):
+    """Midpoint-rule estimate of the weighted scalar product on the full p^{2g} grid.
+
+    f1, f2 take an (M, g) array of points z = x + tau y and return (M,)
+    values; they are evaluated at every node, which makes this the direct
+    reference for the center Gram's residue sums.
+    """
+    nodes = (np.arange(p) + 0.5) / p
+    grid = np.stack(np.meshgrid(*([nodes] * K.g), indexing="ij"), axis=-1).reshape(-1, K.g)
+    wy = np.exp(_log_height_weight(K.entries, xi, tau, grid)) / p ** (2 * K.g)
+    z = (grid[None, :, :] + tau.tau * grid[:, None, :]).reshape(-1, K.g)
+    v = (f1(z) * np.conj(f2(z))).reshape(grid.shape[0], -1)
+    return complex(wy @ v.sum(axis=1))
+
+
 def rule_points(report, K):
     """Per-axis points of a center Gram report's midpoint rule."""
     p = round(report.total_points ** (1 / (2 * K.g)))
@@ -57,40 +76,43 @@ def rule_points(report, K):
 class TestMetricWeights:
     def test_unit_at_zero_height(self, rng):
         xs = rng.uniform(-2, 2, size=8)
-        assert np.allclose(metric_weight_1d(3, 0.2 + 0.1j, TAU, xs), 1.0)
+        assert np.allclose(weight([[3]], (0.2 + 0.1j,), xs[:, None]), 1.0)
         K = jain_matrix(1, 2)
         z = np.stack([xs[:4], xs[4:]], axis=-1).astype(complex)
-        assert np.allclose(metric_weight_g(K, (0.1, 0.2j), TAU, z), 1.0)
+        assert np.allclose(weight(K.entries, (0.1, 0.2j), z), 1.0)
 
     def test_height_shift_ratio(self, rng):
         k, xi = 3, 0.4 * TAU.tau + 0.1
         a = 0.4
         for _ in range(10):
             x, y = rng.uniform(-0.5, 0.5, size=2)
-            z = x + TAU.tau * y
-            z_up = x + TAU.tau * (y + 1)
-            ratio = metric_weight_1d(k, xi, TAU, z_up) / metric_weight_1d(k, xi, TAU, z)
+            z = np.array([[x + TAU.tau * y]])
+            z_up = np.array([[x + TAU.tau * (y + 1)]])
+            ratio = weight([[k]], (xi,), z_up) / weight([[k]], (xi,), z)
             want = np.exp(-2 * np.pi * TAU.t * (2 * k * y + 2 * a + k))
-            assert abs(ratio / want - 1) < 1e-10
+            assert abs(ratio[0] / want - 1) < 1e-10
 
     def test_g1_specializes(self, rng):
-        K = validate_wen_matrix([[3]])
-        zs = rng.uniform(-1, 1, size=6) + TAU.tau * rng.uniform(-1, 1, size=6)
-        w1 = metric_weight_1d(3, 0.2 + 0.1j, TAU, zs)
-        wg = metric_weight_g(K, (0.2 + 0.1j,), TAU, zs[:, None])
-        assert np.allclose(w1, wg)
+        # at g = 1 the weight is exp(-2 pi k t y^2 - 4 pi a t y), xi = b + tau a
+        k, xi = 3, 0.2 + 0.1j
+        ys = rng.uniform(-1, 1, size=6)
+        zs = rng.uniform(-1, 1, size=6) + TAU.tau * ys
+        a = xi.imag / TAU.t
+        want = np.exp(-2 * np.pi * k * TAU.t * ys**2 - 4 * np.pi * a * TAU.t * ys)
+        assert np.allclose(weight([[k]], (xi,), zs[:, None]), want)
 
     def test_one_particle_density_periodic(self, rng):
-        # |h_j|^2 h is invariant under x -> x+1 and y -> y+1
-        k, xi = 2, 0.3 * TAU.tau + 0.2
-        for j in (1, 2):
+        # |h_j|^2 h is invariant under x -> x+1 and y -> y+1; the one-particle
+        # basis h_j is the center basis H_c of K = [[k]] at c = (j-1)/k
+        K = validate_wen_matrix([[2]])
+        xi = (0.3 * TAU.tau + 0.2,)
+        for c in pi_group(K).elements:
+            fn = center_fn(K, xi, TAU, c)
             x, y = rng.uniform(-0.4, 0.4, size=2)
 
             def density(xx, yy):
-                z = xx + TAU.tau * yy
-                return abs(one_particle_basis(k, xi, TAU, j, z)) ** 2 * float(
-                    metric_weight_1d(k, xi, TAU, z)
-                )
+                z = np.array([[xx + TAU.tau * yy]])
+                return abs(fn(z)[0]) ** 2 * float(weight(K.entries, xi, z)[0])
 
             base = density(x, y)
             assert abs(density(x + 1, y) / base - 1) < 1e-10
@@ -106,7 +128,7 @@ class TestMetricWeights:
 
         def density(xx, yy):
             z = (xx + TAU.tau * yy)[None, :]
-            return abs(fn(z)[0]) ** 2 * float(metric_weight_g(K, xi, TAU, z[0]))
+            return abs(fn(z)[0]) ** 2 * float(weight(K.entries, xi, z)[0])
 
         base = density(x, y)
         for shift in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
@@ -144,9 +166,8 @@ class TestInnerProductCenter:
         fns = [center_fn(K, xi, tau, c) for c in grp.elements]
         # p coprime to delta: at a multiple of delta the grid is invariant under
         # the magnetic translations and g01 would vanish whatever p
-        quad = QuadratureSpec(points_per_axis=31)
-        g00 = inner_product_center(K, xi, tau, fns[0], fns[0], quad)
-        g01 = inner_product_center(K, xi, tau, fns[0], fns[1], quad)
+        g00 = inner_product_center(K, xi, tau, fns[0], fns[0], 31)
+        g01 = inner_product_center(K, xi, tau, fns[0], fns[1], 31)
         assert abs(g01) / abs(g00) < 1e-8
         assert g00.real > 0 and abs(g00.imag) < 1e-12
 
@@ -157,10 +178,10 @@ class TestInnerProductCenter:
         grp = pi_group(K)
         report = gram_center(K, xi, tau)
         fns = [center_fn(K, xi, tau, c) for c in grp.elements]
-        quad = QuadratureSpec(points_per_axis=rule_points(report, K))
+        p = rule_points(report, K)
         for i in range(3):
             for j in range(3):
-                direct = inner_product_center(K, xi, tau, fns[i], fns[j], quad)
+                direct = inner_product_center(K, xi, tau, fns[i], fns[j], p)
                 assert abs(direct - report.matrix[i, j]) < 1e-12
 
     def test_matches_fast_path_two_layers(self):
@@ -169,11 +190,11 @@ class TestInnerProductCenter:
         tau = TorusParams(0.3 + 1.1j)
         xi = (0.15 + 0.1j, -0.2 + 0.25j)  # nonzero a and b on both axes
         report = gram_center(K, xi, tau)
-        quad = QuadratureSpec(points_per_axis=rule_points(report, K))
+        p = rule_points(report, K)
         fns = [center_fn(K, xi, tau, c) for c in pi_group(K).elements]
         for i in range(3):
             for j in range(3):
-                direct = inner_product_center(K, xi, tau, fns[i], fns[j], quad)
+                direct = inner_product_center(K, xi, tau, fns[i], fns[j], p)
                 assert abs(direct - report.matrix[i, j]) < 1e-12
 
     @pytest.mark.parametrize("rows,p", [([[3]], 4), ([[3, 2], [2, 3]], 3)])
@@ -188,38 +209,10 @@ class TestInnerProductCenter:
         fast = _gram_center_at(K, xi, TAU, cs, _center_terms(K, xi, TAU, cs, 1e-12), p)
         assert np.max(np.abs(fast - gram_center(K, xi, TAU).matrix)) > 1e-4 * abs(fast[0, 0])
         fns = [center_fn(K, xi, TAU, c) for c in cs]
-        quad = QuadratureSpec(points_per_axis=p)
         for i in range(len(cs)):
             for j in range(len(cs)):
-                direct = inner_product_center(K, xi, TAU, fns[i], fns[j], quad)
+                direct = inner_product_center(K, xi, TAU, fns[i], fns[j], p)
                 assert abs(direct - fast[i, j]) < 1e-12
-
-    def test_coarse_grid_detected(self):
-        K = validate_wen_matrix([[3]])
-        fn = center_fn(K, (0j,), TorusParams(1j), pi_group(K).elements[0])
-        with pytest.raises(QuadratureTooCoarseError):
-            inner_product_center(
-                K,
-                (0j,),
-                TorusParams(1j),
-                fn,
-                fn,
-                QuadratureSpec(points_per_axis=4),
-                check_tol=1e-12,
-            )
-
-    def test_budget_guard(self):
-        K = jain_matrix(1, 2)
-        fn = center_fn(K, (0j, 0j), TorusParams(1j), pi_group(K).elements[0])
-        with pytest.raises(SamplingBudgetExceededError):
-            inner_product_center(
-                K,
-                (0j, 0j),
-                TorusParams(1j),
-                fn,
-                fn,
-                QuadratureSpec(points_per_axis=100, budget=10**6),
-            )
 
 
 class TestGramCenter:
@@ -249,25 +242,34 @@ class TestGramCenter:
         assert report.hermiticity < 1e-12
 
     @staticmethod
-    def _assert_permutes(K, xi):
+    def _gram_center_in_order(monkeypatch, K, xi, order):
+        # gram_center takes its basis order from pi_group
+        from torushall import gram
+
+        monkeypatch.setattr(gram, "pi_group", lambda _: SimpleNamespace(elements=order))
+        return gram_center(K, xi, TorusParams(1j))
+
+    @classmethod
+    def _assert_permutes(cls, monkeypatch, K, xi):
         # re-ordering the basis by c -> c + u permutes the same estimates
         grp = pi_group(K)
         u = K.u_class()
-        base = gram_center(K, xi, TorusParams(1j), ordering=grp.elements)
+        base = cls._gram_center_in_order(monkeypatch, K, xi, grp.elements)
         shifted = tuple(pi_add(c, u) for c in grp.elements)
         perm = [grp.index_of(c) for c in shifted]
-        moved = gram_center(K, xi, TorusParams(1j), ordering=shifted)
+        moved = cls._gram_center_in_order(monkeypatch, K, xi, shifted)
         assert perm != list(range(K.delta))
         for i in range(K.delta):
             for j in range(K.delta):
                 assert moved.matrix[i, j] == base.matrix[perm[i], perm[j]]
 
-    def test_permuted_basis_permutes_estimates(self):
-        self._assert_permutes(validate_wen_matrix([[3]]), (0.1 + 0.2j,))
+    def test_permuted_basis_permutes_estimates(self, monkeypatch):
+        self._assert_permutes(monkeypatch, validate_wen_matrix([[3]]), (0.1 + 0.2j,))
 
-    def test_permuted_basis_permutes_estimates_two_layers(self):
+    def test_permuted_basis_permutes_estimates_two_layers(self, monkeypatch):
         # the README datum: each coset's residue sums are paired by basis value
-        self._assert_permutes(validate_wen_matrix([[3, 2], [2, 3]]), (0.1 + 0.2j, 0j))
+        K = validate_wen_matrix([[3, 2], [2, 3]])
+        self._assert_permutes(monkeypatch, K, (0.1 + 0.2j, 0j))
 
     @pytest.mark.parametrize(
         "rows,tau",
@@ -284,13 +286,13 @@ class TestGramCenter:
         assert report.kappa_rel_err < 1e-10
         assert max(report.offdiag_ratio, report.diag_spread) < 1e-10
 
-    def test_repeated_coset_fails_orthogonality(self):
+    def test_repeated_coset_fails_orthogonality(self, monkeypatch):
         # a basis function paired with itself off the diagonal must not read as orthogonal
         from torushall.checks import gram_center_records
 
         K = validate_wen_matrix([[3, 2], [2, 3]])
         cs = pi_group(K).elements
-        report = gram_center(K, (0.1 + 0.2j, 0j), TorusParams(1j), ordering=cs + cs[1:2])
+        report = self._gram_center_in_order(monkeypatch, K, (0.1 + 0.2j, 0j), cs + cs[1:2])
         orthogonal = gram_center_records(report)[0]
         assert orthogonal["name"] == "gram.center_orthogonal"
         assert orthogonal["verdict"] == "FAIL"
@@ -310,6 +312,20 @@ class TestGramCenter:
         assert peak < DEFAULT_BUDGET * np.dtype(complex).itemsize
         assert report.kappa_rel_err < 1e-10
         assert max(report.offdiag_ratio, report.diag_spread) < 1e-10
+
+    def test_forced_coarse_rule_fails_a_record(self, monkeypatch):
+        # every p coprime to delta integrates the mean diagonal exactly, so at
+        # a forced p = 11 the y-aliasing of K = [[12]] at tau = 3i shows only
+        # in the diagonal spread (about 2e-2); the records must report it
+        from torushall import gram
+        from torushall.checks import gram_center_records
+
+        monkeypatch.setattr(gram, "_rule_points", lambda *args: (11, 13))
+        K = validate_wen_matrix([[12]])
+        report = gram_center(K, (0.1 + 0.05j,), TorusParams(3j))
+        failed = [r["name"] for r in gram_center_records(report) if r["verdict"] == "FAIL"]
+        assert failed == ["gram.center_scalar"]
+        assert report.diag_spread > 1e-2
 
     def test_doubling_shift_small(self):
         K = validate_wen_matrix([[2]])

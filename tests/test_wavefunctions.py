@@ -13,20 +13,16 @@ from torushall.theta import (
 )
 from torushall.wavefunctions import (
     Configuration,
-    IndexOutOfRangeError,
     ShapeMismatchError,
     WaveFunctionSpec,
-    center_basis,
+    center_basis_batch,
     center_basis_values,
     configuration_array,
-    hr_wavefunction,
     jastrow_batch,
-    jastrow_factor,
     kvw_wavefunction,
     lattice_shift_factor,
     magnetic_action_residual,
     magnetic_translation,
-    one_particle_basis,
     phi_values,
     random_configuration,
 )
@@ -50,12 +46,51 @@ def _spec(kmat, nvec, xi, tau=TAU):
     return WaveFunctionSpec(datum=datum, xi=tuple(xi), torus=tau)
 
 
+def center_basis(spec, c, w):
+    """H_c at one center point w."""
+    return complex(center_basis_batch(spec, c, np.asarray(w, dtype=complex)[None, :])[0])
+
+
+def jastrow(datum, config):
+    """The coincidence factor D at one configuration, on the module's torus."""
+    layers = [np.asarray(layer, dtype=complex)[None, :] for layer in config.layers]
+    return complex(jastrow_batch(datum, TAU, layers)[0])
+
+
+def shift_one(config, k, p, step):
+    """The configuration with z_p of layer k moved by step."""
+    layers = [list(layer) for layer in config.layers]
+    layers[k][p] += step
+    return Configuration(tuple(tuple(layer) for layer in layers))
+
+
+def single_layer_reference(m, xi, tau, j, zs):
+    """theta[(j-1)/m, 0](m w + xi | m tau) times the pair loop prod_{p<q} v(z_p - z_q)^m.
+
+    The single-layer wave function written out term by term: a reference
+    for kvw_wavefunction at g = 1 that shares no batching with it.
+    """
+    center = jacobi_theta((j - 1) / m, 0.0, m * sum(zs) + xi, TorusParams(m * tau.tau))
+    d = 1.0 + 0.0j
+    for p in range(len(zs)):
+        for q in range(p + 1, len(zs)):
+            d *= theta_odd(zs[p] - zs[q], tau) ** m
+    return center * d
+
+
 class TestOneParticleBasis:
+    """The one-particle basis h_j(z) = theta[(j-1)/k, 0](k z + xi | k tau) is H_c of K = [[k]]."""
+
+    @staticmethod
+    def _h(k, xi, j, z):
+        spec = _spec([[k]], (1,), (xi,))
+        return center_basis(spec, pi_group(spec.datum.matrix).elements[j - 1], [z])
+
     def test_k1_reduces_to_plain_theta(self, rng):
         xi = 0.2 + 0.3j
         for _ in range(10):
             z = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
-            got = one_particle_basis(1, xi, TAU, 1, z)
+            got = self._h(1, xi, 1, z)
             want = jacobi_theta(0, 0, z + xi, TAU)
             assert abs(got - want) < 1e-13
 
@@ -63,28 +98,16 @@ class TestOneParticleBasis:
         k, xi = 3, 0.1 - 0.2j
         for j in (1, 2, 3):
             z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
-            assert (
-                _residual(
-                    one_particle_basis(k, xi, TAU, j, z + 1),
-                    one_particle_basis(k, xi, TAU, j, z),
-                )
-                < 1e-12
-            )
+            assert _residual(self._h(k, xi, j, z + 1), self._h(k, xi, j, z)) < 1e-12
 
     def test_fractional_shift_eigenvalue(self, rng):
         # moving z by 1/k scales h_j by exp(2 pi i (j-1)/k)
         k, xi = 4, 0.3j
         for j in range(1, k + 1):
             z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
-            got = one_particle_basis(k, xi, TAU, j, z + 1.0 / k)
-            want = np.exp(2j * np.pi * (j - 1) / k) * one_particle_basis(k, xi, TAU, j, z)
+            got = self._h(k, xi, j, z + 1.0 / k)
+            want = np.exp(2j * np.pi * (j - 1) / k) * self._h(k, xi, j, z)
             assert _residual(got, want) < 1e-12
-
-    def test_index_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            one_particle_basis(3, 0j, TAU, 4, 0.1)
-        with pytest.raises(IndexOutOfRangeError):
-            one_particle_basis(3, 0j, TAU, 0, 0.1)
 
 
 class TestCenterBasis:
@@ -94,7 +117,7 @@ class TestCenterBasis:
         for j, c in enumerate(grp.elements, start=1):
             w = np.array([complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))])
             got = center_basis(spec, c, w)
-            want = one_particle_basis(3, spec.xi[0], spec.torus, j, complex(w[0]))
+            want = jacobi_theta((j - 1) / 3, 0.0, 3 * w[0] + spec.xi[0], TorusParams(3 * TAU.tau))
             assert abs(got - want) < 1e-12
 
     def test_integer_periodicity(self, rng):
@@ -124,7 +147,7 @@ class TestJastrow:
         datum = validate_wen_datum(K, (3,))
         z = 0.3 + 0.1j
         config = Configuration(((z, z, 0.7 - 0.2j),))
-        assert abs(jastrow_factor(datum, TAU, config)) < 1e-12
+        assert abs(jastrow(datum, config)) < 1e-12
 
     def test_single_layer_matches_direct_product(self, rng):
         m, n = 3, 3
@@ -136,7 +159,7 @@ class TestJastrow:
         for p in range(n):
             for q in range(p + 1, n):
                 want *= theta_odd(zs[p] - zs[q], TAU) ** m
-        assert _residual(jastrow_factor(datum, TAU, config), want) < 1e-12
+        assert _residual(jastrow(datum, config), want) < 1e-12
 
     def test_swap_sign(self, rng):
         for m in (2, 3):
@@ -144,15 +167,15 @@ class TestJastrow:
             datum = validate_wen_datum(K, (2,))
             z1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
             z2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
-            plain = jastrow_factor(datum, TAU, Configuration(((z1, z2),)))
-            swapped = jastrow_factor(datum, TAU, Configuration(((z2, z1),)))
+            plain = jastrow(datum, Configuration(((z1, z2),)))
+            swapped = jastrow(datum, Configuration(((z2, z1),)))
             assert _residual(swapped, (-1.0) ** m * plain) < 1e-12
 
     def test_shape_mismatch(self):
-        K = validate_wen_matrix([[2]])
-        datum = validate_wen_datum(K, (2,))
+        spec = _spec([[2]], (2,), (0j,))
+        c = pi_group(spec.datum.matrix).elements[0]
         with pytest.raises(ShapeMismatchError):
-            jastrow_factor(datum, TAU, Configuration(((0.1 + 0j,),)))
+            kvw_wavefunction(spec, c, Configuration(((0.1 + 0j,),)))
 
 
 class TestKvwWavefunction:
@@ -163,7 +186,7 @@ class TestKvwWavefunction:
         for j, c in enumerate(grp.elements, start=1):
             config = random_configuration(spec, rng)
             got = kvw_wavefunction(spec, c, config)
-            want = hr_wavefunction(m, n, spec.xi[0], spec.torus, j, config.layers[0])
+            want = single_layer_reference(m, spec.xi[0], spec.torus, j, config.layers[0])
             assert _residual(got, want) < 1e-12
 
     def test_factorizes_exactly(self, rng):
@@ -171,9 +194,8 @@ class TestKvwWavefunction:
         c = pi_group(spec.datum.matrix).elements[1]
         config = random_configuration(spec, rng)
         whole = kvw_wavefunction(spec, c, config)
-        parts = center_basis(spec, c, config.w()) * jastrow_factor(
-            spec.datum, spec.torus, config
-        )
+        w = [sum(layer) for layer in config.layers]
+        parts = center_basis(spec, c, w) * jastrow(spec.datum, config)
         assert abs(whole - parts) <= 1e-12 * max(1.0, abs(whole))
 
     @pytest.mark.parametrize(
@@ -190,9 +212,9 @@ class TestKvwWavefunction:
             p = int(rng.integers(0, nvec[k]))
             base = kvw_wavefunction(spec, c, config)
             z = config.layers[k][p]
-            got = kvw_wavefunction(spec, c, config.shift_one(k, p, 1.0))
+            got = kvw_wavefunction(spec, c, shift_one(config, k, p, 1.0))
             assert _residual(got, lattice_shift_factor(spec, k, z, "1") * base) < 1e-9
-            got = kvw_wavefunction(spec, c, config.shift_one(k, p, spec.torus.tau))
+            got = kvw_wavefunction(spec, c, shift_one(config, k, p, spec.torus.tau))
             assert _residual(got, lattice_shift_factor(spec, k, z, "tau") * base) < 1e-9
 
     def test_sector_signs(self):
@@ -211,38 +233,38 @@ class TestKvwWavefunction:
 
 
 class TestHaldaneRezayi:
+    """The single-layer wave function: kvw_wavefunction of K = [[m]]."""
+
+    @staticmethod
+    def _phi(m, xi, j, zs):
+        spec = _spec([[m]], (len(zs),), (xi,))
+        c = pi_group(spec.datum.matrix).elements[j - 1]
+        return kvw_wavefunction(spec, c, Configuration((tuple(complex(z) for z in zs),)))
+
     def test_symmetry_by_parity(self, rng):
         xi = 0.2 - 0.1j
         for m, sign in ((2, 1.0), (3, -1.0)):
             zs = rng.uniform(-0.5, 0.5, size=3) + 1j * rng.uniform(-0.3, 0.3, size=3)
-            plain = hr_wavefunction(m, 3, xi, TAU, 1, zs)
-            swapped = hr_wavefunction(m, 3, xi, TAU, 1, [zs[1], zs[0], zs[2]])
+            plain = self._phi(m, xi, 1, zs)
+            swapped = self._phi(m, xi, 1, [zs[1], zs[0], zs[2]])
             assert _residual(swapped, sign * plain) < 1e-11
 
     def test_single_particle_is_center_only(self, rng):
         m, xi = 3, 0.1 + 0.2j
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
         for j in (1, 2, 3):
-            got = hr_wavefunction(m, 1, xi, TAU, j, [z])
+            got = self._phi(m, xi, j, [z])
             want = jacobi_theta((j - 1) / m, 0, m * z + xi, TorusParams(m * TAU.tau))
             assert abs(got - want) < 1e-13
 
     def test_vanishing_order_on_diagonal(self):
         # log-log slope of |Phi| against the diagonal offset approximates m
-        m, n, xi = 2, 2, 0.1 + 0.1j
+        m, xi = 2, 0.1 + 0.1j
         z0 = 0.21 + 0.13j
         hs = np.array([10.0**-e for e in (2.0, 2.5, 3.0, 3.5)])
-        vals = np.array(
-            [abs(hr_wavefunction(m, n, xi, TAU, 1, [z0, z0 + h])) for h in hs]
-        )
+        vals = np.array([abs(self._phi(m, xi, 1, [z0, z0 + h])) for h in hs])
         slope = np.polyfit(np.log(hs), np.log(vals), 1)[0]
         assert abs(slope - m) < 0.1
-
-    def test_index_and_shape_errors(self):
-        with pytest.raises(IndexOutOfRangeError):
-            hr_wavefunction(2, 2, 0j, TAU, 3, [0.1, 0.2])
-        with pytest.raises(ShapeMismatchError):
-            hr_wavefunction(2, 2, 0j, TAU, 1, [0.1])
 
 
 class TestMagneticAction:

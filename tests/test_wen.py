@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from conftest import random_wen_matrix
+from conftest import random_wen_matrix, u_order
 from torushall.wen import (
     MixedParityError,
     NegativeEntryError,
@@ -14,9 +14,7 @@ from torushall.wen import (
     det_int,
     jain_matrix,
     pi_group,
-    pi_order,
     smith_normal_form,
-    u_order,
     unimodular_inverse,
     validate_wen_datum,
     validate_wen_matrix,
@@ -187,20 +185,20 @@ class TestPiGroup:
 class TestUOrder:
     def test_primary_generates(self):
         K = validate_wen_matrix([[3, 2], [2, 3]])
-        assert u_order(validate_wen_datum(K, (1, 1))) == 5
+        assert u_order(K) == 5
 
     def test_non_primary_partial(self):
         K = validate_wen_matrix([[2, 0], [0, 2]])
-        assert u_order(validate_wen_datum(K, (1, 1))) == 2 < K.delta
+        assert u_order(K) == 2 < K.delta
 
     def test_single_layer(self):
         K = validate_wen_matrix([[2]])
-        assert u_order(validate_wen_datum(K, (1,))) == 2
+        assert u_order(K) == 2
 
     def test_divides_delta_iff_primary(self, rng):
         for _ in range(25):
             K = random_wen_matrix(rng)
-            order = pi_order(K.u_class())
+            order = u_order(K)
             assert K.delta % order == 0
             assert (order == K.delta) == K.primary
 
