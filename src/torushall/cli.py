@@ -283,12 +283,7 @@ def cmd_gram_manybody(args) -> int:
     doc = _document(args)
     K, datum, tau, xi = _resolve(doc)
     spec = wavefunctions.WaveFunctionSpec(datum=datum, xi=xi, torus=TorusParams(tau))
-    quad = gram.QuadratureSpec(
-        scheme=args.scheme,
-        points_per_axis=args.points,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    quad = gram.QuadratureSpec(scheme=args.scheme, samples=args.samples, seed=args.seed)
     report = gram.gram_manybody(spec, quad, tol=args.tol)
     # non-primary matrices get no verdict
     return _finish_gram(args, "gram-manybody", report, report.records or [])
@@ -310,13 +305,10 @@ def _positive_int(text: str) -> int:
 
 FLAGS = {
     "input": dict(required=True, help="input document (JSON or matrix text)"),
-    "tol": dict(type=float, default=1e-12, help="series tolerance (at least 1e-14)"),
-    "points": dict(
-        type=_positive_int,
-        default=gram.QuadratureSpec.points_per_axis,
-        help="quadrature points per axis",
+    "tol": dict(type=float, default=gram.DEFAULT_TOL, help="series tolerance (at least 1e-14)"),
+    "samples": dict(
+        type=_positive_int, default=gram.QuadratureSpec.samples, help="QMC sample total"
     ),
-    "samples": dict(type=_positive_int, default=1 << 20, help="QMC sample total"),
     "seed": dict(type=int, default=0, help="random seed"),
 }
 
@@ -363,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("gram-manybody", cmd_gram_manybody, "many-body Gram matrix",
-                "input", "tol", "points", "samples", "seed")
-    p.add_argument("--scheme", choices=("auto", "tensor-gauss", "qmc"), default="auto")
+                "input", "tol", "samples", "seed")
+    p.add_argument("--scheme", choices=gram.SCHEMES, default=gram.QuadratureSpec.scheme)
 
     command("verify-all", cmd_verify_all, "run the composed verification suite", "input", "seed")
     return parser

@@ -35,9 +35,15 @@ entries would vanish whether or not the rule had converged.  The x-sum of
 exp(2 pi i n x) at the midpoint nodes is (-1)^(n/p) when p divides n and 0
 otherwise, so the x-sum of a pair of lattice terms is a sign, or zero, read
 from their frequencies modulo p; the y-sum stays on the p^g height nodes.
-Many-body Gram matrices use either tensor Gauss-Legendre quadrature (small
-particle numbers) or replicated scrambled Sobol sampling with
-replicate-mean standard errors.
+
+Many-body Gram matrices use the same midpoint nodes, p on each of the 2n
+particle axes with weight 1/p^{2n}: the integrand h Phi_i conj(Phi_j) is
+periodic in every particle coordinate, so the rule again converges
+geometrically.  The Jastrow factor has no a-priori bound yet, so p steps
+over the integers coprime to the flux number d (for p a multiple of d the
+grid is invariant under the magnetic translations) until two consecutive
+Grams agree.  More than two particles are sampled instead, by replicated
+scrambled Sobol points with replicate-mean standard errors.
 """
 
 from __future__ import annotations
@@ -50,13 +56,15 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import qmc
 
+from .heisenberg import rep_matrices
 from .theta import OmegaMatrix, TorusParams, _tail_halfwidth, lattice_terms, truncation_plan
 from .wavefunctions import WaveFunctionSpec, phi_values
 from .wavefunctions import center_basis_batch  # noqa: F401  bench/test_bench.py wraps it here
-from .wen import PiElement, WenMatrix, pi_group, pi_scale
+from .wen import PiElement, WenMatrix, pi_group
 
 DEFAULT_TOL = 1e-12
 DEFAULT_BUDGET = 1 << 26
+SCHEMES = ("auto", "trapezoid", "qmc")
 
 
 class SamplingBudgetExceededError(RuntimeError):
@@ -65,25 +73,23 @@ class SamplingBudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate: tensor Gauss-Legendre or scrambled Sobol.
+    """How to integrate the many-body Gram: midpoint trapezoid or scrambled Sobol.
 
-    scheme 'auto' picks the tensor grid when points_per_axis**dim stays
-    within budget and falls back to QMC otherwise.  QMC totals are split
-    into ``replicates`` independently scrambled streams whose spread gives
-    the standard error.
+    scheme 'auto' picks the trapezoid rule for up to two particles and QMC
+    for more.  The trapezoid rule sizes itself; the other fields are read by
+    QMC only, whose sample total is split into ``replicates`` independently
+    scrambled streams whose spread gives the standard error.
     """
 
     scheme: str = "auto"
-    points_per_axis: int = 48
     samples: int = 1 << 20
     seed: int = 0
     replicates: int = 16
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("auto", "tensor-gauss", "qmc"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if min(self.points_per_axis, self.samples, self.replicates, self.budget) <= 0:
+        if min(self.samples, self.replicates) <= 0:
             raise ValueError("quadrature sizes must be positive")
 
 
@@ -154,12 +160,6 @@ def kappa_closed_form(K: WenMatrix, xi, tau: TorusParams | complex) -> float:
 # quadrature nodes
 
 
-def gauss_nodes_01(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(p)
-    return (x + 1) / 2, w / 2
-
-
 def midpoint_nodes(p: int) -> np.ndarray:
     """Nodes (q + 1/2)/p, q = 0 .. p-1, of the midpoint trapezoid rule on [0, 1]."""
     return (np.arange(p) + 0.5) / p
@@ -168,6 +168,14 @@ def midpoint_nodes(p: int) -> np.ndarray:
 def _tensor_grid(nodes: np.ndarray, g: int) -> np.ndarray:
     grids = np.meshgrid(*([nodes] * g), indexing="ij")
     return np.stack([gr.ravel() for gr in grids], axis=-1)
+
+
+def _next_coprime(p: int, d: int) -> int:
+    """The smallest integer above p coprime to d."""
+    p += 1
+    while gcd(p, d) != 1:
+        p += 1
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +222,7 @@ def _rule_points(K: WenMatrix, t: float, tol: float, budget: int) -> tuple[int, 
             if np.sum(np.exp(-np.multiply.outer(betas, q))) + tol / 32 < tol / 4:
                 break
         p += 1
-    check = p + 1
-    while gcd(check, K.delta) != 1:
-        check += 1
-    return p, check
+    return p, _next_coprime(p, K.delta)
 
 
 def _center_terms(
@@ -322,6 +327,27 @@ def _labels(cs: Sequence[PiElement]) -> tuple[str, ...]:
     return tuple("(" + ", ".join(str(x) for x in c) + ")" for c in cs)
 
 
+def _trapezoid_report(
+    gmat: np.ndarray, cs: Sequence[PiElement], points: int, shift: float, kappa=None
+) -> GramReport:
+    """Report of a midpoint-rule Gram, with its consecutive-p shift."""
+    mean_diag, offratio, spread, herm = _report_stats(gmat)
+    return GramReport(
+        matrix=gmat,
+        stderr=np.zeros_like(gmat, dtype=float),
+        basis_labels=_labels(cs),
+        scheme="trapezoid",
+        total_points=points,
+        seed=None,
+        kappa_ref=kappa,
+        offdiag_ratio=offratio,
+        diag_spread=spread,
+        kappa_rel_err=None if kappa is None else float(abs(mean_diag / kappa - 1.0)),
+        hermiticity=herm,
+        doubling_shift=shift,
+    )
+
+
 def gram_center(
     K: WenMatrix,
     xi,
@@ -355,34 +381,11 @@ def gram_center(
     gmat = _gram_center_at(K, xi, tp, cs, terms, p)
     check = _gram_center_at(K, xi, tp, cs, terms, p_check)
     shift = float(np.max(np.abs(gmat - check)))
-    kappa = kappa_closed_form(K, xi, tp)
-    mean_diag, offratio, spread, herm = _report_stats(gmat)
-    return GramReport(
-        matrix=gmat,
-        stderr=np.zeros_like(gmat, dtype=float),
-        basis_labels=_labels(cs),
-        scheme="trapezoid",
-        total_points=p ** (2 * K.g),
-        seed=None,
-        kappa_ref=kappa,
-        offdiag_ratio=offratio,
-        diag_spread=spread,
-        kappa_rel_err=float(abs(mean_diag / kappa - 1.0)),
-        hermiticity=herm,
-        doubling_shift=shift,
-    )
+    return _trapezoid_report(gmat, cs, p ** (2 * K.g), shift, kappa_closed_form(K, xi, tp))
 
 
 # ---------------------------------------------------------------------------
 # many-body Gram
-
-
-def _manybody_basis(spec: WaveFunctionSpec) -> tuple[PiElement, ...]:
-    K = spec.datum.matrix
-    if K.primary:
-        u = K.u_class()
-        return tuple(pi_scale(i, u) for i in range(K.delta))
-    return pi_group(K).elements
 
 
 def _manybody_values(
@@ -408,67 +411,73 @@ def gram_manybody(
     quad: QuadratureSpec | None = None,
     tol: float = DEFAULT_TOL,
 ) -> GramReport:
-    """Gram matrix of the many-body basis under the product metric.
+    """Gram matrix of ``heisenberg.rep_matrices``'s basis under the product metric.
 
-    Tensor Gauss-Legendre is used when the 2n-dimensional grid fits the
-    budget, otherwise replicated scrambled Sobol sampling; QMC reports
-    replicate-mean standard errors and sigma-normalized scalarness checks.
-    The verdict ``scalar_pass`` comes from the many-body records of
-    :mod:`torushall.checks`; it is only set for primary matrices, for others
-    the deviations are reported without a verdict.
+    The midpoint rule (``_gram_manybody_trapezoid``) or replicated scrambled
+    Sobol sampling, with replicate-mean standard errors and sigma-normalized
+    scalarness checks.  The verdict ``scalar_pass`` comes from the many-body
+    records of :mod:`torushall.checks`; it is only set for primary matrices,
+    for others the deviations are reported without a verdict.
     """
     quad = quad or QuadratureSpec()
-    basis = _manybody_basis(spec)
-    d = len(basis)
-    dim = 2 * spec.datum.n
+    basis = rep_matrices(spec.datum).basis
     scheme = quad.scheme
     if scheme == "auto":
-        scheme = (
-            "tensor-gauss" if quad.points_per_axis**dim <= quad.budget else "qmc"
-        )
-
-    if scheme == "tensor-gauss":
-        total = quad.points_per_axis**dim
-        if total > quad.budget:
-            raise SamplingBudgetExceededError(
-                f"{quad.points_per_axis}^{dim} tensor points exceed budget {quad.budget}"
-            )
-        nodes, wts = gauss_nodes_01(quad.points_per_axis)
-        gmat = np.zeros((d, d), dtype=complex)
-        step = max(1, (1 << 22) // max(1, d))
-        for start in range(0, total, step):
-            idx = np.arange(start, min(start + step, total))
-            coords = np.stack(
-                np.unravel_index(idx, (quad.points_per_axis,) * dim), axis=-1
-            )
-            pts = nodes[coords]
-            wq = np.prod(wts[coords], axis=1)
-            weight, values = _manybody_values(spec, pts, basis, tol)
-            gmat += (values * (wq * weight)[None, :]) @ values.conj().T
-        mean_diag, offratio, spread, herm = _report_stats(gmat)
-        report = GramReport(
-            matrix=gmat,
-            stderr=np.zeros((d, d)),
-            basis_labels=_labels(basis),
-            scheme=scheme,
-            total_points=total,
-            seed=None,
-            kappa_ref=None,
-            offdiag_ratio=offratio,
-            diag_spread=spread,
-            kappa_rel_err=None,
-            hermiticity=herm,
-        )
-    elif scheme == "qmc":
-        report = _gram_manybody_qmc(spec, quad, basis, tol)
+        scheme = "trapezoid" if spec.datum.n <= 2 else "qmc"
+    if scheme == "trapezoid":
+        report = _gram_manybody_trapezoid(spec, basis, tol)
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        report = _gram_manybody_qmc(spec, quad, basis, tol)
     if spec.datum.matrix.primary:
         from .checks import gram_manybody_records, passed  # checks imports this module
 
         report.records = gram_manybody_records(report)
         report.scalar_pass = passed(report.records)
     return report
+
+
+def _gram_manybody_at(
+    spec: WaveFunctionSpec, basis: Sequence[PiElement], p: int, tol: float
+) -> np.ndarray:
+    """Midpoint-rule many-body Gram at p nodes on each of the 2n axes."""
+    dim = 2 * spec.datum.n
+    total = p**dim
+    nodes = midpoint_nodes(p)
+    gmat = np.zeros((len(basis),) * 2, dtype=complex)
+    step = max(1, (1 << 22) // len(basis))
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total))
+        pts = nodes[np.stack(np.unravel_index(idx, (p,) * dim), axis=-1)]
+        weight, values = _manybody_values(spec, pts, basis, tol)
+        gmat += (values * weight[None, :]) @ values.conj().T
+    return gmat / total
+
+
+def _gram_manybody_trapezoid(
+    spec: WaveFunctionSpec, basis: Sequence[PiElement], tol: float
+) -> GramReport:
+    """Many-body Gram by the midpoint rule at the first converged p coprime to d.
+
+    p runs over the integers from 3 up that are coprime to the flux number
+    d, and stops once the largest entry shift between the Grams at two
+    consecutive p is below min(tol, _RULE_TOL_MAX) of the finer one's mean
+    diagonal.  The finer Gram is returned, with that shift as
+    ``doubling_shift``.  The next p^{2n} points are checked against
+    DEFAULT_BUDGET before they are formed.
+    """
+    dim = 2 * spec.datum.n
+    p, coarse = _next_coprime(2, spec.datum.d), None
+    while True:
+        if p**dim > DEFAULT_BUDGET:
+            raise SamplingBudgetExceededError(
+                f"the many-body Gram needs {p}^{dim} points, over the budget {DEFAULT_BUDGET}"
+            )
+        gmat = _gram_manybody_at(spec, basis, p, tol)
+        if coarse is not None:
+            shift = float(np.max(np.abs(gmat - coarse)))
+            if shift < min(tol, _RULE_TOL_MAX) * np.mean(np.diag(gmat).real):
+                return _trapezoid_report(gmat, basis, p**dim, shift)
+        p, coarse = _next_coprime(p, spec.datum.d), gmat
 
 
 def _gram_manybody_qmc(
@@ -478,9 +487,9 @@ def _gram_manybody_qmc(
     dim = 2 * spec.datum.n
     reps = quad.replicates
     per_rep = 1 << max(1, math.ceil(math.log2(max(2, quad.samples // reps))))
-    if per_rep * reps > quad.budget:
+    if per_rep * reps > DEFAULT_BUDGET:
         raise SamplingBudgetExceededError(
-            f"{per_rep} x {reps} QMC samples exceed budget {quad.budget}"
+            f"{per_rep} x {reps} QMC samples exceed budget {DEFAULT_BUDGET}"
         )
     seeds = np.random.SeedSequence(quad.seed).spawn(reps)
     samples_g = []

@@ -29,10 +29,6 @@ import numpy as np
 from .wen import PiElement, WenDatum, WenMatrix, pi_add, pi_group, pi_scale
 
 
-class NonCyclicBasisOrderError(ValueError):
-    """The powers of u do not exhaust the coset group of a primary matrix."""
-
-
 def upsilon_exponent(a: Sequence[Fraction], b: Sequence[Fraction], K: WenMatrix) -> int:
     """Integer m with upsilon(a, b) = exp(2 pi i m / delta), exactly.
 
@@ -134,8 +130,6 @@ def rep_matrices(datum: WenDatum) -> RepMatrices:
     u = K.u_class()
     if K.primary:
         basis = tuple(pi_scale(i, u) for i in range(K.delta))
-        if len(set(basis)) != K.delta:
-            raise NonCyclicBasisOrderError("u does not generate the group")
     else:
         basis = pi_group(K).elements
     index = {c: i for i, c in enumerate(basis)}

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -120,11 +121,10 @@ class TestCli:
             (["validate"], {"K": [[1, 2]]}),
             (["validate"], {"K": [[2, 1], [1]]}),
             (["gram-manybody", "--samples", "0"], {"K": [[2]]}),
-            (["gram-manybody", "--points", "0"], {"K": [[2]]}),
             (["validate", "--input", "{dir}"], None),
             (["wf-eval", "--config", "{dir}"], {"K": [[2]]}),
         ],
-        ids=["empty", "not-square", "ragged", "samples-0", "points-0", "input-dir", "config-dir"],
+        ids=["empty", "not-square", "ragged", "samples-0", "input-dir", "config-dir"],
     )
     def test_malformed_input_exit_two(self, command, document, tmp_path, capsys):
         # input errors exit 2 with a message, never 1 with a traceback
@@ -283,6 +283,7 @@ class TestCli:
             ["validate", "--input", "{k2}", "--samples", "7"],
             ["gram-center", "--input", "{k2}", "--points", "32"],
             ["verify-all", "--input", "{k2}", "--points", "24"],
+            ["gram-manybody", "--input", "{k2}", "--points", "0"],
         ],
         ids=[
             "verify-all-tol",
@@ -290,6 +291,7 @@ class TestCli:
             "validate-samples",
             "gram-center-points",
             "verify-all-points",
+            "gram-manybody-points",
         ],
     )
     def test_unread_flag_rejected(self, command, k2_doc, capsys):
@@ -309,6 +311,16 @@ class TestCli:
             ("gram.manybody_sigma", 3.0, "FAIL"),
         ]
         assert all(c["name"] in LAWS for c in payload["checks"])
+
+    def test_gram_manybody_default_is_trapezoid(self, readme_doc, capsys):
+        start = time.perf_counter()
+        assert main(["gram-manybody", "--input", readme_doc, "--format", "json"]) == 0
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["scheme"] == "trapezoid"
+        assert max(payload["offdiag_ratio"], payload["diag_spread"]) <= 1e-10
+        assert [c["verdict"] for c in payload["checks"]] == ["PASS"]
+        assert elapsed < 5.0
 
 
 VERIFY_ALL_RECORDS = [

@@ -14,6 +14,7 @@ from torushall.gram import (
     gram_manybody,
     kappa_closed_form,
 )
+from torushall.heisenberg import rep_matrices
 from torushall.theta import (
     OmegaMatrix,
     ThetaCharacteristics,
@@ -345,16 +346,63 @@ class TestGramManybody:
         assert report.diag_pair_sigmas < 3.0
         assert max(report.offdiag_ratio, report.diag_spread) < 0.02
 
-    def test_qmc_matches_tensor(self):
+    def test_qmc_matches_trapezoid(self):
         K = validate_wen_matrix([[2]])
         datum = validate_wen_datum(K, (2,))
         spec = WaveFunctionSpec(datum=datum, xi=(0.1 + 0.1j,), torus=TorusParams(1j))
-        tens = gram_manybody(spec, QuadratureSpec(scheme="tensor-gauss", points_per_axis=20))
+        trap = gram_manybody(spec, QuadratureSpec(scheme="trapezoid"))
         qmcr = gram_manybody(spec, QuadratureSpec(scheme="qmc", samples=1 << 16, replicates=8))
         for i in range(2):
             for j in range(2):
                 tol = 5 * max(qmcr.stderr[i, j], 1e-6)
-                assert abs(tens.matrix[i, j] - qmcr.matrix[i, j]) < tol
+                assert abs(trap.matrix[i, j] - qmcr.matrix[i, j]) < tol
+
+    @pytest.mark.parametrize(
+        "rows,n_vec,xi",
+        [([[2]], (2,), (0j,)), ([[3, 2], [2, 3]], (1, 1), (0.1 + 0.2j, 0j))],
+        ids=["k2-n2", "readme"],
+    )
+    def test_trapezoid_p_coprime_to_flux(self, rows, n_vec, xi):
+        # for p a multiple of d the grid is invariant under the magnetic
+        # translations and the off-diagonal entries vanish unconverged
+        datum = validate_wen_datum(validate_wen_matrix(rows), n_vec)
+        spec = WaveFunctionSpec(datum=datum, xi=xi, torus=TorusParams(1j))
+        report = gram_manybody(spec, QuadratureSpec(scheme="trapezoid"))
+        p = round(report.total_points ** (1 / (2 * datum.n)))
+        assert p ** (2 * datum.n) == report.total_points
+        assert math.gcd(p, datum.d) == 1
+        assert report.doubling_shift < 1e-12 * report.matrix[0, 0].real
+        assert max(report.offdiag_ratio, report.diag_spread) < 1e-10
+
+    def test_forced_coarse_trapezoid_fails_scalar(self, monkeypatch):
+        # an unconverged p must fail the record, not pass it by construction
+        from torushall import gram
+        from torushall.checks import gram_manybody_records
+
+        monkeypatch.setattr(gram, "_next_coprime", lambda p, d: 3)
+        datum = validate_wen_datum(validate_wen_matrix([[3, 2], [2, 3]]), (1, 1))
+        spec = WaveFunctionSpec(datum=datum, xi=(0.1 + 0.2j, 0j), torus=TorusParams(1j))
+        report = gram_manybody(spec, QuadratureSpec(scheme="trapezoid"))
+        assert report.total_points == 3**4
+        verdicts = {r["name"]: r["verdict"] for r in gram_manybody_records(report)}
+        assert verdicts == {"gram.manybody_scalar": "FAIL"}
+        assert report.scalar_pass is False
+
+    @pytest.mark.parametrize(
+        "rows,primary",
+        [([[3, 2], [2, 3]], True), ([[2, 0], [0, 2]], False)],
+        ids=["primary", "non-primary"],
+    )
+    def test_basis_order_from_rep_matrices(self, rows, primary):
+        K = validate_wen_matrix(rows)
+        assert K.primary == primary
+        datum = validate_wen_datum(K, (1, 1))
+        spec = WaveFunctionSpec(datum=datum, xi=(0j, 0j), torus=TorusParams(1j))
+        report = gram_manybody(spec, QuadratureSpec(scheme="qmc", samples=1 << 10, replicates=4))
+        labels = tuple(
+            "(" + ", ".join(str(x) for x in c) + ")" for c in rep_matrices(datum).basis
+        )
+        assert report.basis_labels == labels
 
     def test_trivial_dimension(self):
         K = validate_wen_matrix([[1]])
@@ -374,19 +422,32 @@ class TestGramManybody:
         assert np.array_equal(r1.matrix, r2.matrix)
         assert np.array_equal(r1.stderr, r2.stderr)
 
-    def test_auto_picks_tensor_for_small_dim(self):
+    def test_auto_picks_trapezoid_for_small_dim(self):
         K = validate_wen_matrix([[1]])
         datum = validate_wen_datum(K, (1,))
         spec = WaveFunctionSpec(datum=datum, xi=(0j,), torus=TorusParams(1j))
-        report = gram_manybody(spec, QuadratureSpec(points_per_axis=16))
-        assert report.scheme == "tensor-gauss"
+        report = gram_manybody(spec, QuadratureSpec())
+        assert report.scheme == "trapezoid"
+
+    def test_auto_picks_qmc_for_three_particles(self):
+        K = validate_wen_matrix([[1]])
+        datum = validate_wen_datum(K, (3,))
+        spec = WaveFunctionSpec(datum=datum, xi=(0j,), torus=TorusParams(1j))
+        report = gram_manybody(spec, QuadratureSpec(samples=1 << 10, replicates=4))
+        assert report.scheme == "qmc"
 
     def test_budget_guard(self):
         K = validate_wen_matrix([[2]])
         datum = validate_wen_datum(K, (2,))
         spec = WaveFunctionSpec(datum=datum, xi=(0j,), torus=TorusParams(1j))
         with pytest.raises(SamplingBudgetExceededError):
-            gram_manybody(spec, QuadratureSpec(scheme="qmc", samples=1 << 30, budget=1 << 20))
+            gram_manybody(spec, QuadratureSpec(scheme="qmc", samples=2 * DEFAULT_BUDGET))
+        # the trapezoid rule's first grid, 3^20 points for ten particles, is over it
+        spec = WaveFunctionSpec(
+            datum=validate_wen_datum(K, (10,)), xi=(0j,), torus=TorusParams(1j)
+        )
+        with pytest.raises(SamplingBudgetExceededError):
+            gram_manybody(spec, QuadratureSpec(scheme="trapezoid"))
 
     def test_nan_values_fail_every_record(self, monkeypatch):
         # one NaN value per sample must not leave a statistic that reads as a pass
@@ -425,7 +486,7 @@ class TestGramManybody:
         assert np.max(np.abs(gmat - gmat.conj().T)) <= 1e-12 * np.max(np.abs(gmat))
 
     def test_values_finite_over_unit_cell(self):
-        from torushall.gram import _manybody_basis, _manybody_values
+        from torushall.gram import _manybody_values
 
         spec = WaveFunctionSpec(
             datum=validate_wen_datum(validate_wen_matrix([[3]]), (6,)),
@@ -433,7 +494,7 @@ class TestGramManybody:
             torus=TorusParams(1j),
         )
         pts = np.random.default_rng(0).random((4096, 12))
-        weight, values = _manybody_values(spec, pts, _manybody_basis(spec), 1e-12)
+        weight, values = _manybody_values(spec, pts, rep_matrices(spec.datum).basis, 1e-12)
         assert np.all(np.isfinite(weight)) and np.all(np.isfinite(values))
 
     def test_two_layer_scalar(self):
