@@ -91,16 +91,15 @@ LAWS: dict[str, tuple[str, float]] = {
 }
 
 
-def record(name: str, measured: float, threshold: float | None = None) -> dict:
-    """The record of law ``name``; ``threshold`` overrides the table's default."""
-    law, default = LAWS[name]
-    limit = default if threshold is None else threshold
+def record(name: str, measured: float) -> dict:
+    """The record of law ``name`` at the table's threshold."""
+    law, threshold = LAWS[name]
     return {
         "name": name,
         "law": law,
         "measured": float(measured),
-        "threshold": float(limit),
-        "verdict": "PASS" if measured < limit else "FAIL",
+        "threshold": float(threshold),
+        "verdict": "PASS" if measured < threshold else "FAIL",
     }
 
 
@@ -123,7 +122,7 @@ def _residual(lhs, rhs):
 
 
 def check_theta_laws(
-    seed: int = 0, samples: int = 100, tol: float = 1e-12, zero_at_samples: bool = False
+    seed: int = 0, samples: int = 100, zero_at_samples: bool = False
 ) -> list[dict]:
     """Quasi-periodicity and oddness at ``samples`` random (tau, z, a, b).
 
@@ -136,16 +135,16 @@ def check_theta_laws(
         tau = TorusParams(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)))
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         a, b = rng.uniform(-0.5, 0.5, size=2)
-        base, lhs1, lhs2 = jacobi_theta_batch(a, b, [z, z + 1, z + tau.tau], tau, tol)
+        base, lhs1, lhs2 = jacobi_theta_batch(a, b, [z, z + 1, z + tau.tau], tau)
         worst_shift1 = _worst(worst_shift1, _residual(lhs1, np.exp(2j * np.pi * a) * base))
         fac = np.exp(-2j * np.pi * (z + b) - 1j * np.pi * tau.tau)
         worst_shift_tau = _worst(worst_shift_tau, _residual(lhs2, fac * base))
-        plus, minus = theta_odd_batch([z, -z], tau, tol)
+        plus, minus = theta_odd_batch([z, -z], tau)
         worst_odd = _worst(worst_odd, abs(plus + minus))
         if zero_at_samples:
-            zero = _worst(zero, abs(theta_odd(0.0, tau, tol)))
+            zero = _worst(zero, abs(theta_odd(0.0, tau)))
     taus = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)) for _ in range(10)]
-    zero = _worst(zero, *(abs(theta_odd(0.0, TorusParams(t), tol)) for t in taus))
+    zero = _worst(zero, *(abs(theta_odd(0.0, TorusParams(t))) for t in taus))
     return [
         record("theta.shift_one", worst_shift1),
         record("theta.shift_tau", worst_shift_tau),
@@ -161,7 +160,7 @@ def random_omega(rng: np.random.Generator, g: int) -> OmegaMatrix:
     return OmegaMatrix.create((s + s.T) / 2 + 1j * y)
 
 
-def check_multitheta_laws(seed: int = 0, samples: int = 20, tol: float = 1e-12) -> list[dict]:
+def check_multitheta_laws(seed: int = 0, samples: int = 20) -> list[dict]:
     rng = np.random.default_rng(seed)
     worst1 = worst2 = worst_fac = 0.0
     for g in (1, 2, 3):
@@ -173,7 +172,7 @@ def check_multitheta_laws(seed: int = 0, samples: int = 20, tol: float = 1e-12) 
             )
             z = rng.uniform(-0.5, 0.5, size=g) + 1j * rng.uniform(-0.5, 0.5, size=g)
             l = rng.integers(-1, 2, size=g).astype(float)
-            base, lhs1, lhs2 = riemann_theta_batch(chars, [z, z + l, z + om.omega @ l], om, tol)
+            base, lhs1, lhs2 = riemann_theta_batch(chars, [z, z + l, z + om.omega @ l], om)
             a = np.asarray(chars.a)
             b = np.asarray(chars.b)
             worst1 = _worst(worst1, _residual(lhs1, np.exp(2j * np.pi * (a @ l)) * base))
@@ -188,11 +187,11 @@ def check_multitheta_laws(seed: int = 0, samples: int = 20, tol: float = 1e-12) 
                 b=tuple(rng.uniform(-0.5, 0.5, size=g)),
             )
             z = rng.uniform(-0.5, 0.5, size=g) + 1j * rng.uniform(-0.5, 0.5, size=g)
-            whole = riemann_theta(chars, z, omd, tol)
+            whole = riemann_theta(chars, z, omd)
             prod = 1.0 + 0.0j
             for j in range(g):
                 prod *= jacobi_theta(
-                    chars.a[j], chars.b[j], z[j], TorusParams(complex(diag[j])), tol
+                    chars.a[j], chars.b[j], z[j], TorusParams(complex(diag[j]))
                 )
             worst_fac = _worst(worst_fac, abs(whole - prod) / max(1.0, abs(whole)))
     return [
@@ -251,12 +250,10 @@ def check_heisenberg(datum: wen.WenDatum) -> list[dict]:
     ]
 
 
-def gram_center_records(
-    report: gram.GramReport, orthogonal_tol: float | None = None
-) -> list[dict]:
+def gram_center_records(report: gram.GramReport) -> list[dict]:
     """The center Gram's records: orthogonality, equal norms and the closed-form norm."""
     return [
-        record("gram.center_orthogonal", report.offdiag_ratio, orthogonal_tol),
+        record("gram.center_orthogonal", report.offdiag_ratio),
         record("gram.center_scalar", report.diag_spread),
         record("gram.center_kappa", report.kappa_rel_err),
     ]

@@ -275,7 +275,7 @@ def cmd_gram_center(args) -> int:
     doc = _document(args)
     K, _datum, tau, xi = _resolve(doc)
     report = gram.gram_center(K, xi, tau, tol=args.tol)
-    records = checks.gram_center_records(report, args.tol_gram)
+    records = checks.gram_center_records(report)
     return _finish_gram(args, "gram-center", report, records)
 
 
@@ -348,11 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrices", action="store_true", help="include floating matrices")
 
     # --seed is accepted and ignored: the trapezoid rule draws no samples
-    p = command("gram-center", cmd_gram_center, "center-of-mass Gram matrix",
-                "input", "tol", "seed")
-    p.add_argument(
-        "--tol-gram", type=float, help="orthogonality threshold (default: the check's own)"
-    )
+    command("gram-center", cmd_gram_center, "center-of-mass Gram matrix", "input", "tol", "seed")
 
     p = command("gram-manybody", cmd_gram_manybody, "many-body Gram matrix",
                 "input", "tol", "samples", "seed")

@@ -37,19 +37,23 @@ otherwise, so the x-sum of a pair of lattice terms is a sign, or zero, read
 from their frequencies modulo p; the y-sum stays on the p^g height nodes.
 
 Many-body Gram matrices use the same midpoint nodes, p on each of the 2n
-particle axes with weight 1/p^{2n}: the integrand h Phi_i conj(Phi_j) is
-periodic in every particle coordinate, so the rule again converges
-geometrically.  The Jastrow factor has no a-priori bound yet, so p steps
-over the integers coprime to the flux number d (for p a multiple of d the
-grid is invariant under the magnetic translations) until two consecutive
-Grams agree.  More than two particles are sampled instead, by replicated
-scrambled Sobol points with replicate-mean standard errors.
+particle axes with weight 1/p^{2n}, and the same bound.  Each Phi_c is a
+theta function of degree d in every particle coordinate (moving one
+coordinate by tau multiplies it by phi(z)^d), and the many-body weight is
+the center weight with the form d I_n, so the integrand h Phi_i conj(Phi_j)
+has, in every coordinate, the Fourier coefficients that the center bound
+counts with K = d I_n.  Its p is therefore the center rule's at the form
+d I_n, coprime to the flux number d (for p a multiple of d the grid is
+invariant under the magnetic translations).  More than two particles are
+sampled instead, by replicated scrambled Sobol points with replicate-mean
+standard errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
 from typing import Sequence
 
@@ -76,9 +80,10 @@ class QuadratureSpec:
     """How to integrate the many-body Gram: midpoint trapezoid or scrambled Sobol.
 
     scheme 'auto' picks the trapezoid rule for up to two particles and QMC
-    for more.  The trapezoid rule sizes itself; the other fields are read by
-    QMC only, whose sample total is split into ``replicates`` independently
-    scrambled streams whose spread gives the standard error.
+    for more.  The trapezoid rule sizes itself by the center Gram's
+    a-priori bound; the other fields are read by QMC only, whose sample
+    total is split into ``replicates`` independently scrambled streams
+    whose spread gives the standard error.
     """
 
     scheme: str = "auto"
@@ -170,14 +175,6 @@ def _tensor_grid(nodes: np.ndarray, g: int) -> np.ndarray:
     return np.stack([gr.ravel() for gr in grids], axis=-1)
 
 
-def _next_coprime(p: int, d: int) -> int:
-    """The smallest integer above p coprime to d."""
-    p += 1
-    while gcd(p, d) != 1:
-        p += 1
-    return p
-
-
 # ---------------------------------------------------------------------------
 # center-of-mass Gram by the midpoint rule, summed per frequency residue
 
@@ -188,41 +185,48 @@ def _next_coprime(p: int, d: int) -> int:
 _LOG_FLOOR = 0.5 * math.log(np.finfo(float).tiny)
 
 # the center Gram records (orthogonal, scalar) hold their entries to 1e-8 of
-# kappa, so the rule's aliasing is bounded at least that tightly
+# kappa, so both rules bound their aliasing at least that tightly
 _RULE_TOL_MAX = 1e-8
 
 
-def _rule_points(K: WenMatrix, t: float, tol: float, budget: int) -> tuple[int, int]:
-    """Per-axis points of the center Gram's midpoint rule, and of its check.
+def _rule_points(kmat, modulus: int, t: float, tol: float) -> tuple[int, int]:
+    """Per-axis points of a midpoint Gram rule, and of its check.
 
-    p is the smallest integer coprime to delta whose aliasing bound
-    sum_{j != 0} [exp(-pi t p^2 j'K^{-1}j / 2) + exp(-pi p^2 j'K^{-1}j / (2 t))]
-    is below tol/4 (see the module docstring); the check uses the next
-    integer above p coprime to delta.  The sum runs over the box |j|_inf < r;
-    by the theta shell bound at the smallest eigenvalue of K^{-1}, the shells
-    beyond it add less than tol/32, which is counted in.
+    kmat is the g x g form of the metric weight (K for the center Gram,
+    d I_n for the many-body one) and modulus the integer p must be coprime
+    to (delta, or d).  p is the smallest such integer whose aliasing bound
+    sum_{j != 0} [exp(-pi t p^2 j'Q j / 2) + exp(-pi p^2 j'Q j / (2 t))],
+    Q = kmat^{-1}, is below tol/4, tol at most _RULE_TOL_MAX (see the
+    module docstring); the check uses the next integer above p coprime to
+    modulus.  The sum runs over the box |j|_inf < r; by the theta shell
+    bound at the smallest eigenvalue of Q, the shells beyond it add less
+    than tol/32, which is counted in.  Once modulus p^g or the box is
+    over DEFAULT_BUDGET, SamplingBudgetExceededError is raised before the
+    box is formed.
     """
-    g = K.g
-    qinv = np.linalg.inv(np.array(K.entries, dtype=float))
+    tol = min(tol, _RULE_TOL_MAX)
+    qinv = np.linalg.inv(np.asarray(kmat, dtype=float))
+    g = qinv.shape[0]
     lam = float(np.linalg.eigvalsh(qinv)[0])
-    # up to this p the term j = e_a with the smallest K^{-1}_aa alone reaches tol/4
+    # up to this p the term j = e_a with the smallest Q_aa alone reaches tol/4
     floor_p2 = 2 * math.log(4 / tol) / (math.pi * min(t, 1 / t) * qinv.diagonal().min())
     p = max(1, math.floor(math.sqrt(floor_p2)))
     while True:
         betas = np.pi * p * p / 2 * np.array([t, 1 / t])
         r = _tail_halfwidth(lam * betas.min() / np.pi, g, tol / 16)
-        if max(K.delta * p**g, (2 * r - 1) ** g) > budget:
+        if max(modulus * p**g, (2 * r - 1) ** g) > DEFAULT_BUDGET:
             raise SamplingBudgetExceededError(
-                f"the center Gram needs more than {p} points per axis, over the budget {budget}"
+                f"the midpoint rule needs more than {p} points per axis, "
+                f"over the budget {DEFAULT_BUDGET}"
             )
-        if gcd(p, K.delta) == 1:
+        if gcd(p, modulus) == 1:
             js = _tensor_grid(np.arange(1 - r, r), g)
             js = js[np.any(js != 0, axis=1)]
             q = np.einsum("ij,jk,ik->i", js, qinv, js)
             if np.sum(np.exp(-np.multiply.outer(betas, q))) + tol / 32 < tol / 4:
                 break
         p += 1
-    return p, _next_coprime(p, K.delta)
+    return p, next(q for q in count(p + 1) if gcd(q, modulus) == 1)
 
 
 def _center_terms(
@@ -328,16 +332,22 @@ def _labels(cs: Sequence[PiElement]) -> tuple[str, ...]:
 
 
 def _trapezoid_report(
-    gmat: np.ndarray, cs: Sequence[PiElement], points: int, shift: float, kappa=None
+    gram_at, p: int, p_check: int, dim: int, cs: Sequence[PiElement], kappa=None
 ) -> GramReport:
-    """Report of a midpoint-rule Gram, with its consecutive-p shift."""
+    """Report of the midpoint-rule Gram ``gram_at(p)`` on the p^dim grid.
+
+    ``doubling_shift`` is its largest entry shift from the Gram at the check
+    p (a convergence indicator).
+    """
+    gmat = gram_at(p)
+    shift = float(np.max(np.abs(gmat - gram_at(p_check))))
     mean_diag, offratio, spread, herm = _report_stats(gmat)
     return GramReport(
         matrix=gmat,
         stderr=np.zeros_like(gmat, dtype=float),
         basis_labels=_labels(cs),
         scheme="trapezoid",
-        total_points=points,
+        total_points=p**dim,
         seed=None,
         kappa_ref=kappa,
         offdiag_ratio=offratio,
@@ -365,12 +375,11 @@ def gram_center(
     which also bounds the rows summed per residue.
     Reports the off-diagonal/diagonal ratio, the diagonal spread, the
     relative mismatch against the closed-form kappa, and as
-    ``doubling_shift`` the largest entry shift seen at the next p above it
-    coprime to delta (a convergence indicator).
+    ``doubling_shift`` the largest entry shift seen at the check p.
     """
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
     cs = pi_group(K).elements
-    p, p_check = _rule_points(K, tp.t, min(tol, _RULE_TOL_MAX), DEFAULT_BUDGET)
+    p, p_check = _rule_points(K.entries, K.delta, tp.t, tol)
     terms = _center_terms(K, xi, tp, cs, tol)
     formed = sum(m.shape[0] for m, _ in terms.values()) * (p**K.g + p_check**K.g)
     if formed > DEFAULT_BUDGET:
@@ -378,10 +387,10 @@ def gram_center(
             f"{formed} term x height-node entries at p = {p} and {p_check} "
             f"exceed the budget {DEFAULT_BUDGET}"
         )
-    gmat = _gram_center_at(K, xi, tp, cs, terms, p)
-    check = _gram_center_at(K, xi, tp, cs, terms, p_check)
-    shift = float(np.max(np.abs(gmat - check)))
-    return _trapezoid_report(gmat, cs, p ** (2 * K.g), shift, kappa_closed_form(K, xi, tp))
+    return _trapezoid_report(
+        lambda q: _gram_center_at(K, xi, tp, cs, terms, q),
+        p, p_check, 2 * K.g, cs, kappa_closed_form(K, xi, tp),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +422,10 @@ def gram_manybody(
 ) -> GramReport:
     """Gram matrix of ``heisenberg.rep_matrices``'s basis under the product metric.
 
-    The midpoint rule (``_gram_manybody_trapezoid``) or replicated scrambled
-    Sobol sampling, with replicate-mean standard errors and sigma-normalized
-    scalarness checks.  The verdict ``scalar_pass`` comes from the many-body
+    The midpoint rule at the center rule's a-priori p for the form d I_n
+    (``_gram_manybody_trapezoid``), or replicated scrambled Sobol sampling
+    with replicate-mean standard errors and sigma-normalized scalarness
+    checks.  The verdict ``scalar_pass`` comes from the many-body
     records of :mod:`torushall.checks`; it is only set for primary matrices,
     for others the deviations are reported without a verdict.
     """
@@ -456,28 +466,23 @@ def _gram_manybody_at(
 def _gram_manybody_trapezoid(
     spec: WaveFunctionSpec, basis: Sequence[PiElement], tol: float
 ) -> GramReport:
-    """Many-body Gram by the midpoint rule at the first converged p coprime to d.
+    """Many-body Gram by the midpoint rule at the a-priori p of the form d I_n.
 
-    p runs over the integers from 3 up that are coprime to the flux number
-    d, and stops once the largest entry shift between the Grams at two
-    consecutive p is below min(tol, _RULE_TOL_MAX) of the finer one's mean
-    diagonal.  The finer Gram is returned, with that shift as
-    ``doubling_shift``.  The next p^{2n} points are checked against
-    DEFAULT_BUDGET before they are formed.
+    p and its check come from ``_rule_points`` at the form d I_n and the
+    modulus d (see the module docstring), as the center Gram's come from K
+    and delta.  The Gram at p is returned, with its largest entry shift
+    from the Gram at the check p as ``doubling_shift``; the check p^{2n}
+    grid is held to DEFAULT_BUDGET before either grid is formed.
     """
-    dim = 2 * spec.datum.n
-    p, coarse = _next_coprime(2, spec.datum.d), None
-    while True:
-        if p**dim > DEFAULT_BUDGET:
-            raise SamplingBudgetExceededError(
-                f"the many-body Gram needs {p}^{dim} points, over the budget {DEFAULT_BUDGET}"
-            )
-        gmat = _gram_manybody_at(spec, basis, p, tol)
-        if coarse is not None:
-            shift = float(np.max(np.abs(gmat - coarse)))
-            if shift < min(tol, _RULE_TOL_MAX) * np.mean(np.diag(gmat).real):
-                return _trapezoid_report(gmat, basis, p**dim, shift)
-        p, coarse = _next_coprime(p, spec.datum.d), gmat
+    n, d = spec.datum.n, spec.datum.d
+    p, p_check = _rule_points(d * np.eye(n), d, spec.torus.t, tol)
+    if p_check ** (2 * n) > DEFAULT_BUDGET:
+        raise SamplingBudgetExceededError(
+            f"the many-body Gram needs {p_check}^{2 * n} points, over the budget {DEFAULT_BUDGET}"
+        )
+    return _trapezoid_report(
+        lambda q: _gram_manybody_at(spec, basis, q, tol), p, p_check, 2 * n, basis
+    )
 
 
 def _gram_manybody_qmc(

@@ -184,13 +184,16 @@ class TestCli:
         assert "[PASS] gram.center_orthogonal" in out
         assert "[PASS] gram.center_kappa" in out
 
-    def test_gram_center_fail_exit_one(self, k2_doc, capsys):
-        # an impossible orthogonality threshold must flip the exit status
-        code = main(
-            ["gram-center", "--input", k2_doc, "--tol-gram", "1e-30"]
-        )
-        assert code == 1
-        assert "[FAIL]" in capsys.readouterr().out
+    def test_gram_center_fail_exit_one(self, tmp_path, monkeypatch, capsys):
+        # a forced coarse rule leaves K = [[12]] at tau = 3i with a diagonal
+        # spread of about 2e-2, which must flip the exit status
+        from torushall import gram
+
+        monkeypatch.setattr(gram, "_rule_points", lambda *args: (11, 13))
+        path = tmp_path / "k12.json"
+        path.write_text(json.dumps({"K": [[12]], "n": [1], "tau": [0, 3], "xi": [[0.1, 0.05]]}))
+        assert main(["gram-center", "--input", str(path)]) == 1
+        assert "[FAIL] gram.center_scalar" in capsys.readouterr().out
 
     def test_gram_manybody_deterministic(self, tmp_path, capsys):
         path = tmp_path / "k2n2.json"
@@ -282,6 +285,7 @@ class TestCli:
             ["validate", "--input", "{k2}", "--points", "3"],
             ["validate", "--input", "{k2}", "--samples", "7"],
             ["gram-center", "--input", "{k2}", "--points", "32"],
+            ["gram-center", "--input", "{k2}", "--tol-gram", "1e-30"],
             ["verify-all", "--input", "{k2}", "--points", "24"],
             ["gram-manybody", "--input", "{k2}", "--points", "0"],
         ],
@@ -290,6 +294,7 @@ class TestCli:
             "validate-points",
             "validate-samples",
             "gram-center-points",
+            "gram-center-tol-gram",
             "verify-all-points",
             "gram-manybody-points",
         ],

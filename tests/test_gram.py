@@ -374,12 +374,48 @@ class TestGramManybody:
         assert report.doubling_shift < 1e-12 * report.matrix[0, 0].real
         assert max(report.offdiag_ratio, report.diag_spread) < 1e-10
 
+    def test_readme_datum_rule_points(self, monkeypatch):
+        # the a-priori p of the form 5 I_2 at tau = i, and its check p
+        from torushall import gram
+
+        seen = []
+        real = gram._gram_manybody_at
+
+        def spy(spec, basis, p, tol):
+            seen.append(p)
+            return real(spec, basis, p, tol)
+
+        monkeypatch.setattr(gram, "_gram_manybody_at", spy)
+        datum = validate_wen_datum(validate_wen_matrix([[3, 2], [2, 3]]), (1, 1))
+        spec = WaveFunctionSpec(datum=datum, xi=(0.1 + 0.2j, 0j), torus=TorusParams(1j))
+        report = gram_manybody(spec, QuadratureSpec(scheme="trapezoid"))
+        assert seen == [11, 12]
+        assert report.total_points == 11**4
+        assert max(report.offdiag_ratio, report.diag_spread) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "k,xi,tau",
+        [(2, 0.1 + 0.05j, 1j), (3, 0.2 + 0.1j, 0.2 + 0.9j), (5, 0.1j, 2j), (12, 0.1 + 0.05j, 3j)],
+    )
+    def test_one_particle_matches_center(self, k, xi, tau):
+        # for K = [[k]] and n = (1,) the flux number is k and Phi_c = H_c, so
+        # both rules size the same grid for the same Gram
+        K = validate_wen_matrix([[k]])
+        spec = WaveFunctionSpec(
+            datum=validate_wen_datum(K, (1,)), xi=(xi,), torus=TorusParams(tau)
+        )
+        many = gram_manybody(spec, QuadratureSpec(scheme="trapezoid"))
+        center = gram_center(K, (xi,), TorusParams(tau))
+        assert many.basis_labels == center.basis_labels
+        assert many.total_points == center.total_points
+        assert np.max(np.abs(many.matrix - center.matrix)) <= 1e-12 * center.kappa_ref
+
     def test_forced_coarse_trapezoid_fails_scalar(self, monkeypatch):
         # an unconverged p must fail the record, not pass it by construction
         from torushall import gram
         from torushall.checks import gram_manybody_records
 
-        monkeypatch.setattr(gram, "_next_coprime", lambda p, d: 3)
+        monkeypatch.setattr(gram, "_rule_points", lambda *args: (3, 4))
         datum = validate_wen_datum(validate_wen_matrix([[3, 2], [2, 3]]), (1, 1))
         spec = WaveFunctionSpec(datum=datum, xi=(0.1 + 0.2j, 0j), torus=TorusParams(1j))
         report = gram_manybody(spec, QuadratureSpec(scheme="trapezoid"))
@@ -436,16 +472,24 @@ class TestGramManybody:
         report = gram_manybody(spec, QuadratureSpec(samples=1 << 10, replicates=4))
         assert report.scheme == "qmc"
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        from torushall import gram
+
+        def unformed(*args):
+            raise AssertionError("formed a grid over the budget")
+
         K = validate_wen_matrix([[2]])
         datum = validate_wen_datum(K, (2,))
         spec = WaveFunctionSpec(datum=datum, xi=(0j,), torus=TorusParams(1j))
         with pytest.raises(SamplingBudgetExceededError):
             gram_manybody(spec, QuadratureSpec(scheme="qmc", samples=2 * DEFAULT_BUDGET))
-        # the trapezoid rule's first grid, 3^20 points for ten particles, is over it
+        # ten particles are over it before the rule forms its (2r - 1)^10 box
+        # of aliasing frequencies or any p^20 grid
         spec = WaveFunctionSpec(
             datum=validate_wen_datum(K, (10,)), xi=(0j,), torus=TorusParams(1j)
         )
+        monkeypatch.setattr(gram, "_tensor_grid", unformed)
+        monkeypatch.setattr(gram, "_gram_manybody_at", unformed)
         with pytest.raises(SamplingBudgetExceededError):
             gram_manybody(spec, QuadratureSpec(scheme="trapezoid"))
 
