@@ -248,7 +248,7 @@ def _gram_payload(report: gram.GramReport) -> dict:
         "diag_spread": report.diag_spread,
         "kappa_rel_err": report.kappa_rel_err,
         "hermiticity": report.hermiticity,
-        "doubling_shift": report.doubling_shift,
+        "aliasing_bound": report.aliasing_bound,
         "offdiag_sigmas": report.offdiag_sigmas,
         "diag_pair_sigmas": report.diag_pair_sigmas,
         "scalar_pass": report.scalar_pass,

@@ -29,7 +29,8 @@ multiples p j of the grid frequency (Trefethen and Weideman, SIAM Rev. 56,
   exp(-pi p^2 j'K^{-1}j / (2 t)).
 
 The rule's p is the smallest p coprime to delta whose sum of both families
-over j != 0 is below tol/4.  Coprime, because for p a multiple of delta the
+over j != 0 is below tol/4; the Gram is formed once, at p, and reports that
+sum as ``aliasing_bound``.  Coprime, because for p a multiple of delta the
 grid is invariant under the magnetic translations, and the off-diagonal
 entries would vanish whether or not the rule had converged.  The x-sum of
 exp(2 pi i n x) at the midpoint nodes is (-1)^(n/p) when p divides n and 0
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
 from math import gcd
 from typing import Sequence
 
@@ -106,7 +106,9 @@ class GramReport:
     error (combined real/imaginary) for QMC.  ``offdiag_ratio`` is the largest
     off-diagonal magnitude over the mean diagonal; ``diag_spread`` the diagonal
     peak-to-peak over the mean.  Sigma-normalized versions are present for QMC
-    runs only.  ``records`` are the many-body verdict records that
+    runs only.  ``aliasing_bound`` is the trapezoid rule's a-priori bound on
+    its aliasing error relative to the diagonal (see ``_rule_points``), None
+    for QMC.  ``records`` are the many-body verdict records that
     ``scalar_pass`` is taken from; both stay None without a verdict.
     """
 
@@ -121,7 +123,7 @@ class GramReport:
     diag_spread: float
     kappa_rel_err: float | None
     hermiticity: float
-    doubling_shift: float | None = None
+    aliasing_bound: float | None = None
     offdiag_sigmas: float | None = None
     diag_pair_sigmas: float | None = None
     scalar_pass: bool | None = None
@@ -189,20 +191,19 @@ _LOG_FLOOR = 0.5 * math.log(np.finfo(float).tiny)
 _RULE_TOL_MAX = 1e-8
 
 
-def _rule_points(kmat, modulus: int, t: float, tol: float) -> tuple[int, int]:
-    """Per-axis points of a midpoint Gram rule, and of its check.
+def _rule_points(kmat, modulus: int, t: float, tol: float) -> tuple[int, float]:
+    """Per-axis points of a midpoint Gram rule, and its aliasing bound.
 
     kmat is the g x g form of the metric weight (K for the center Gram,
     d I_n for the many-body one) and modulus the integer p must be coprime
     to (delta, or d).  p is the smallest such integer whose aliasing bound
     sum_{j != 0} [exp(-pi t p^2 j'Q j / 2) + exp(-pi p^2 j'Q j / (2 t))],
     Q = kmat^{-1}, is below tol/4, tol at most _RULE_TOL_MAX (see the
-    module docstring); the check uses the next integer above p coprime to
-    modulus.  The sum runs over the box |j|_inf < r; by the theta shell
-    bound at the smallest eigenvalue of Q, the shells beyond it add less
-    than tol/32, which is counted in.  Once modulus p^g or the box is
-    over DEFAULT_BUDGET, SamplingBudgetExceededError is raised before the
-    box is formed.
+    module docstring); that sum is returned with p.  It runs over the box
+    |j|_inf < r; by the theta shell bound at the smallest eigenvalue of Q,
+    the shells beyond it add less than tol/32, which is counted in.  Once
+    modulus p^g or the box is over DEFAULT_BUDGET,
+    SamplingBudgetExceededError is raised before the box is formed.
     """
     tol = min(tol, _RULE_TOL_MAX)
     qinv = np.linalg.inv(np.asarray(kmat, dtype=float))
@@ -223,10 +224,10 @@ def _rule_points(kmat, modulus: int, t: float, tol: float) -> tuple[int, int]:
             js = _tensor_grid(np.arange(1 - r, r), g)
             js = js[np.any(js != 0, axis=1)]
             q = np.einsum("ij,jk,ik->i", js, qinv, js)
-            if np.sum(np.exp(-np.multiply.outer(betas, q))) + tol / 32 < tol / 4:
-                break
+            bound = float(np.sum(np.exp(-np.multiply.outer(betas, q)))) + tol / 32
+            if bound < tol / 4:
+                return p, bound
         p += 1
-    return p, next(q for q in count(p + 1) if gcd(q, modulus) == 1)
 
 
 def _center_terms(
@@ -332,29 +333,23 @@ def _labels(cs: Sequence[PiElement]) -> tuple[str, ...]:
 
 
 def _trapezoid_report(
-    gram_at, p: int, p_check: int, dim: int, cs: Sequence[PiElement], kappa=None
+    gmat: np.ndarray, points: int, bound: float, cs: Sequence[PiElement], kappa=None
 ) -> GramReport:
-    """Report of the midpoint-rule Gram ``gram_at(p)`` on the p^dim grid.
-
-    ``doubling_shift`` is its largest entry shift from the Gram at the check
-    p (a convergence indicator).
-    """
-    gmat = gram_at(p)
-    shift = float(np.max(np.abs(gmat - gram_at(p_check))))
+    """Report of a midpoint-rule Gram formed on ``points`` nodes, with its aliasing bound."""
     mean_diag, offratio, spread, herm = _report_stats(gmat)
     return GramReport(
         matrix=gmat,
         stderr=np.zeros_like(gmat, dtype=float),
         basis_labels=_labels(cs),
         scheme="trapezoid",
-        total_points=p**dim,
+        total_points=points,
         seed=None,
         kappa_ref=kappa,
         offdiag_ratio=offratio,
         diag_spread=spread,
         kappa_rel_err=None if kappa is None else float(abs(mean_diag / kappa - 1.0)),
         hermiticity=herm,
-        doubling_shift=shift,
+        aliasing_bound=bound,
     )
 
 
@@ -370,26 +365,25 @@ def gram_center(
     ``_rule_points``), so that the rule's error stays below about tol/4 of
     kappa on top of the series truncation; the rule is sized at tol or at
     _RULE_TOL_MAX, whichever is smaller, so a loose tol loosens only the
-    series and not the scalar Gram records.  DEFAULT_BUDGET bounds the
-    (lattice term x height node) entries formed at p and at the check p,
-    which also bounds the rows summed per residue.
+    series and not the scalar Gram records.  The Gram is formed once, at p;
+    DEFAULT_BUDGET bounds its (lattice term x height node) entries, which
+    also bounds the rows summed per residue.
     Reports the off-diagonal/diagonal ratio, the diagonal spread, the
-    relative mismatch against the closed-form kappa, and as
-    ``doubling_shift`` the largest entry shift seen at the check p.
+    relative mismatch against the closed-form kappa, and the rule's
+    ``aliasing_bound``.
     """
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
     cs = pi_group(K).elements
-    p, p_check = _rule_points(K.entries, K.delta, tp.t, tol)
+    p, bound = _rule_points(K.entries, K.delta, tp.t, tol)
     terms = _center_terms(K, xi, tp, cs, tol)
-    formed = sum(m.shape[0] for m, _ in terms.values()) * (p**K.g + p_check**K.g)
+    formed = sum(m.shape[0] for m, _ in terms.values()) * p**K.g
     if formed > DEFAULT_BUDGET:
         raise SamplingBudgetExceededError(
-            f"{formed} term x height-node entries at p = {p} and {p_check} "
-            f"exceed the budget {DEFAULT_BUDGET}"
+            f"{formed} term x height-node entries at p = {p} exceed the budget {DEFAULT_BUDGET}"
         )
     return _trapezoid_report(
-        lambda q: _gram_center_at(K, xi, tp, cs, terms, q),
-        p, p_check, 2 * K.g, cs, kappa_closed_form(K, xi, tp),
+        _gram_center_at(K, xi, tp, cs, terms, p),
+        p ** (2 * K.g), bound, cs, kappa_closed_form(K, xi, tp),
     )
 
 
@@ -468,20 +462,19 @@ def _gram_manybody_trapezoid(
 ) -> GramReport:
     """Many-body Gram by the midpoint rule at the a-priori p of the form d I_n.
 
-    p and its check come from ``_rule_points`` at the form d I_n and the
-    modulus d (see the module docstring), as the center Gram's come from K
-    and delta.  The Gram at p is returned, with its largest entry shift
-    from the Gram at the check p as ``doubling_shift``; the check p^{2n}
-    grid is held to DEFAULT_BUDGET before either grid is formed.
+    p and its aliasing bound come from ``_rule_points`` at the form d I_n
+    and the modulus d (see the module docstring), as the center Gram's come
+    from K and delta.  The Gram is formed once, on the p^{2n} grid, which
+    is held to DEFAULT_BUDGET before it is formed.
     """
     n, d = spec.datum.n, spec.datum.d
-    p, p_check = _rule_points(d * np.eye(n), d, spec.torus.t, tol)
-    if p_check ** (2 * n) > DEFAULT_BUDGET:
+    p, bound = _rule_points(d * np.eye(n), d, spec.torus.t, tol)
+    if p ** (2 * n) > DEFAULT_BUDGET:
         raise SamplingBudgetExceededError(
-            f"the many-body Gram needs {p_check}^{2 * n} points, over the budget {DEFAULT_BUDGET}"
+            f"the many-body Gram needs {p}^{2 * n} points, over the budget {DEFAULT_BUDGET}"
         )
     return _trapezoid_report(
-        lambda q: _gram_manybody_at(spec, basis, q, tol), p, p_check, 2 * n, basis
+        _gram_manybody_at(spec, basis, p, tol), p ** (2 * n), bound, basis
     )
 
 

@@ -189,7 +189,7 @@ class TestCli:
         # spread of about 2e-2, which must flip the exit status
         from torushall import gram
 
-        monkeypatch.setattr(gram, "_rule_points", lambda *args: (11, 13))
+        monkeypatch.setattr(gram, "_rule_points", lambda *args: (11, 1.0))
         path = tmp_path / "k12.json"
         path.write_text(json.dumps({"K": [[12]], "n": [1], "tau": [0, 3], "xi": [[0.1, 0.05]]}))
         assert main(["gram-center", "--input", str(path)]) == 1
@@ -237,8 +237,8 @@ class TestCli:
         assert verdicts["magnetic.t1_eigenvalue"] == verdicts["magnetic.t2_shift"] == "PASS"
 
     def test_sampling_budget_exit_two(self, tmp_path, capsys):
-        # jain(1, 4): p = 6 and 7 on 6^4 + 7^4 height nodes times about 1.3e5
-        # lattice terms over the 5 cosets, about 5e8 entries, over the default budget
+        # jain(1, 4): p = 6 on 6^4 height nodes times about 1.3e5 lattice terms
+        # over the 5 cosets, about 1.7e8 entries, over the default budget
         path = tmp_path / "jain14.json"
         rows = [[2 if i == j else 1 for j in range(4)] for i in range(4)]
         path.write_text(json.dumps({"K": rows, "n": [1, 1, 1, 1]}))
@@ -326,6 +326,19 @@ class TestCli:
         assert max(payload["offdiag_ratio"], payload["diag_spread"]) <= 1e-10
         assert [c["verdict"] for c in payload["checks"]] == ["PASS"]
         assert elapsed < 5.0
+
+    def test_gram_json_reports_aliasing_bound(self, readme_doc, capsys):
+        # both trapezoid rules report their a-priori bound, and QMC has none
+        for command in ("gram-center", "gram-manybody"):
+            assert main([command, "--input", readme_doc, "--format", "json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["aliasing_bound"] < 2.5e-13
+            assert "doubling_shift" not in payload
+        args = ["gram-manybody", "--input", readme_doc, "--scheme", "qmc", "--samples", "1024"]
+        assert main(args + ["--format", "json"]) in (0, 1)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["aliasing_bound"] is None
+        assert "doubling_shift" not in payload
 
 
 VERIFY_ALL_RECORDS = [

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -321,17 +322,35 @@ class TestGramCenter:
         from torushall import gram
         from torushall.checks import gram_center_records
 
-        monkeypatch.setattr(gram, "_rule_points", lambda *args: (11, 13))
+        monkeypatch.setattr(gram, "_rule_points", lambda *args: (11, 1.0))
         K = validate_wen_matrix([[12]])
         report = gram_center(K, (0.1 + 0.05j,), TorusParams(3j))
         failed = [r["name"] for r in gram_center_records(report) if r["verdict"] == "FAIL"]
         assert failed == ["gram.center_scalar"]
         assert report.diag_spread > 1e-2
 
-    def test_doubling_shift_small(self):
+    def test_aliasing_bound_small(self):
         K = validate_wen_matrix([[2]])
         report = gram_center(K, (0j,), TorusParams(1j))
-        assert report.doubling_shift < 1e-10
+        assert report.aliasing_bound < 1e-12 / 4
+
+    def test_readme_datum_formed_once(self, monkeypatch):
+        # the Gram is formed at its a-priori p alone, with no check grid
+        from torushall import gram
+
+        seen = []
+        real = gram._gram_center_at
+
+        def spy(K, xi, tp, cs, terms, p):
+            seen.append(p)
+            return real(K, xi, tp, cs, terms, p)
+
+        monkeypatch.setattr(gram, "_gram_center_at", spy)
+        K = validate_wen_matrix([[3, 2], [2, 3]])
+        report = gram_center(K, (0.1 + 0.2j, 0j), TorusParams(1j))
+        assert seen == [7]
+        assert report.total_points == 7**4
+        assert report.aliasing_bound < 2.5e-13
 
 
 class TestGramManybody:
@@ -371,11 +390,11 @@ class TestGramManybody:
         p = round(report.total_points ** (1 / (2 * datum.n)))
         assert p ** (2 * datum.n) == report.total_points
         assert math.gcd(p, datum.d) == 1
-        assert report.doubling_shift < 1e-12 * report.matrix[0, 0].real
+        assert report.aliasing_bound < 1e-12
         assert max(report.offdiag_ratio, report.diag_spread) < 1e-10
 
     def test_readme_datum_rule_points(self, monkeypatch):
-        # the a-priori p of the form 5 I_2 at tau = i, and its check p
+        # the a-priori p of the form 5 I_2 at tau = i, the only p formed
         from torushall import gram
 
         seen = []
@@ -389,7 +408,7 @@ class TestGramManybody:
         datum = validate_wen_datum(validate_wen_matrix([[3, 2], [2, 3]]), (1, 1))
         spec = WaveFunctionSpec(datum=datum, xi=(0.1 + 0.2j, 0j), torus=TorusParams(1j))
         report = gram_manybody(spec, QuadratureSpec(scheme="trapezoid"))
-        assert seen == [11, 12]
+        assert seen == [11]
         assert report.total_points == 11**4
         assert max(report.offdiag_ratio, report.diag_spread) <= 1e-10
 
@@ -415,7 +434,7 @@ class TestGramManybody:
         from torushall import gram
         from torushall.checks import gram_manybody_records
 
-        monkeypatch.setattr(gram, "_rule_points", lambda *args: (3, 4))
+        monkeypatch.setattr(gram, "_rule_points", lambda *args: (3, 1.0))
         datum = validate_wen_datum(validate_wen_matrix([[3, 2], [2, 3]]), (1, 1))
         spec = WaveFunctionSpec(datum=datum, xi=(0.1 + 0.2j, 0j), torus=TorusParams(1j))
         report = gram_manybody(spec, QuadratureSpec(scheme="trapezoid"))
@@ -553,3 +572,76 @@ class TestGramManybody:
         assert report.total_points >= 10**6
         assert max(report.offdiag_ratio, report.diag_spread) < 0.05
         assert report.scalar_pass
+
+
+def _relative_shift(gmat, ref):
+    """Largest entry difference of a Gram from a reference, over the reference's mean diagonal."""
+    return np.max(np.abs(gmat - ref)) / np.mean(np.real(np.diag(ref)))
+
+
+def _reference_p(p, modulus):
+    """The first integer at least 6 above p that is coprime to modulus."""
+    return next(q for q in itertools.count(p + 6) if math.gcd(q, modulus) == 1)
+
+
+class TestAliasingBound:
+    """The a-priori aliasing bound of ``_rule_points`` against a finer reference rule.
+
+    The rule is sized at the target itself (the _RULE_TOL_MAX cap lifted),
+    so that p is as small as the bound allows; the reference Gram is the
+    same midpoint rule at a p coprime to the modulus and at least 6 above.
+    Small Im tau needs the x family of the bound, large Im tau the y family.
+    """
+
+    TARGETS = [1e-4, 1e-8]
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize(
+        "rows,xi,tau",
+        [
+            ([[3, 2], [2, 3]], (0.1 + 0.2j, 0j), 1j),
+            ([[12]], (0.1 + 0.05j,), 3j),
+        ],
+        ids=["readme", "k12-3i"],
+    )
+    def test_center(self, monkeypatch, rows, xi, tau, target):
+        from torushall import gram
+
+        monkeypatch.setattr(gram, "_RULE_TOL_MAX", 1.0)
+        K = validate_wen_matrix(rows)
+        tp = TorusParams(tau)
+        cs = pi_group(K).elements
+        terms = gram._center_terms(K, xi, tp, cs, 1e-12)
+        p, bound = gram._rule_points(K.entries, K.delta, tp.t, target)
+        assert bound < target / 4
+        gmat = gram._gram_center_at(K, xi, tp, cs, terms, p)
+        ref = gram._gram_center_at(K, xi, tp, cs, terms, _reference_p(p, K.delta))
+        assert _relative_shift(gmat, ref) <= bound
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize(
+        "rows,n_vec,xi,tau",
+        [
+            ([[3, 2], [2, 3]], (1, 1), (0.1 + 0.2j, 0j), 1j),
+            ([[2, 1], [1, 2]], (1, 1), (0.1 + 0.2j, 0j), 0.3 + 1.1j),
+            ([[2]], (2,), (0.1 + 0.05j,), 0.4j),
+            ([[2]], (2,), (0.1 + 0.05j,), 3j),
+            ([[3]], (2,), (0.1 + 0.05j,), 0.5j),
+            ([[3]], (2,), (0.1 + 0.05j,), 2j),
+            ([[4]], (1,), (0.1 + 0.05j,), 3j),
+        ],
+        ids=["readme", "jain12", "k2n2-0.4i", "k2n2-3i", "k3n2-0.5i", "k3n2-2i", "k4n1-3i"],
+    )
+    def test_manybody(self, monkeypatch, rows, n_vec, xi, tau, target):
+        from torushall import gram
+
+        monkeypatch.setattr(gram, "_RULE_TOL_MAX", 1.0)
+        datum = validate_wen_datum(validate_wen_matrix(rows), n_vec)
+        spec = WaveFunctionSpec(datum=datum, xi=xi, torus=TorusParams(tau))
+        basis = rep_matrices(datum).basis
+        n, d = datum.n, datum.d
+        p, bound = gram._rule_points(d * np.eye(n), d, spec.torus.t, target)
+        assert bound < target / 4
+        gmat = gram._gram_manybody_at(spec, basis, p, 1e-12)
+        ref = gram._gram_manybody_at(spec, basis, _reference_p(p, d), 1e-12)
+        assert _relative_shift(gmat, ref) <= bound
