@@ -103,12 +103,12 @@ def cmd_invariants(args) -> int:
     doc = _document(args)
     K = wen.validate_wen_matrix(doc.K)
     inv = bundles.restricted_invariants(K)
-    grp = wen.pi_group(K)
+    factors = wen.smith_normal_form(K.entries)[0]
     tau = doc.tau if doc.tau is not None else 1j
     offset = bundles.max_pairing_offset(K, tau)
     lines = [
         f"delta = {K.delta}, rho = {K.rho}, primary = {K.primary}",
-        f"invariant factors: {list(grp.invariant_factors)}",
+        f"invariant factors: {list(factors)}",
         f"rank = {inv.rank}, degree = {inv.degree}, slope = {inv.slope_display}",
         f"stable = {inv.stable}",
         "total Chern coefficients: "
@@ -125,7 +125,7 @@ def cmd_invariants(args) -> int:
         "delta": K.delta,
         "rho": K.rho,
         "primary": K.primary,
-        "invariant_factors": list(grp.invariant_factors),
+        "invariant_factors": list(factors),
         "rank": inv.rank,
         "degree": inv.degree,
         "slope": inv.slope_display,

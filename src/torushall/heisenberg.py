@@ -8,7 +8,10 @@ with the product twisted by the pairing
 a root of unity of order dividing delta.  Roots of unity are carried as
 integer exponents modulo delta throughout, so the translation relations
 and the character norm are exact integer statements; complex matrices are
-only materialized at the API boundary.
+only materialized at the API boundary.  Cosets are carried the same way,
+as integer numerator vectors A = delta a (see ``torushall.wen``): the
+exponent of upsilon(a, b) is A'K B / delta mod delta, and Fractions are
+built only for ``RepMatrices.basis`` and taken only by ``upsilon_exponent``.
 
 The representation matrices are those of the magnetic translations on the
 distinguished theta basis: T1 acts diagonally with eigenvalue
@@ -22,32 +25,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .wen import PiElement, WenDatum, WenMatrix, pi_add, pi_group, pi_scale
+from .wen import PiElement, WenDatum, WenMatrix, coset_fractions, pi_group
+
+
+def pairing_exponents(A: Sequence[int], Bs: Iterable[Sequence[int]], K: WenMatrix) -> Iterator[int]:
+    """Exponents m with upsilon(a, b) = exp(2 pi i m / delta), one per B in Bs, lazily.
+
+    A = delta a and each B = delta b are integer vectors for a, b in
+    K^{-1}Z^g, so m = delta a'K b = A'K B / delta is an integer; a non-zero
+    remainder raises ``ValueError``.  The row A'K is formed once.
+    """
+    d, g = K.delta, K.g
+    row = [sum(A[i] * K.entries[i][j] for i in range(g)) for j in range(g)]
+    for B in Bs:
+        m, rem = divmod(sum(x * y for x, y in zip(row, B)), d)
+        if rem:
+            raise ValueError("arguments do not lie in K^{-1}Z^g")
+        yield m % d
 
 
 def upsilon_exponent(a: Sequence[Fraction], b: Sequence[Fraction], K: WenMatrix) -> int:
-    """Integer m with upsilon(a, b) = exp(2 pi i m / delta), exactly.
-
-    For a and b in K^{-1}Z^g, A = delta a and B = delta b are integer vectors
-    and m = delta a'K b = A'K B / delta is an integer; both are checked, in
-    Python ints.
-    """
+    """``pairing_exponents`` of one pair of rational vectors a, b in K^{-1}Z^g."""
     d, g = K.delta, K.g
     scaled = [divmod(x.numerator * d, x.denominator) for x in (*a, *b)]
-    A, B = [q for q, _ in scaled[:g]], [q for q, _ in scaled[g:]]
-    m, rem = divmod(sum(A[i] * K.entries[i][j] * B[j] for i in range(g) for j in range(g)), d)
-    if rem or any(r for _, r in scaled):
+    if any(r for _, r in scaled):
         raise ValueError("arguments do not lie in K^{-1}Z^g")
-    return m % d
-
-
-def upsilon(a: Sequence[Fraction], b: Sequence[Fraction], K: WenMatrix) -> complex:
-    """The pairing value as a complex root of unity."""
-    return root_of_unity(upsilon_exponent(a, b, K), K.delta)
+    A, B = [q for q, _ in scaled[:g]], [q for q, _ in scaled[g:]]
+    return next(pairing_exponents(A, (B,), K))
 
 
 def root_of_unity(exponent: int, order: int) -> complex:
@@ -119,6 +127,23 @@ class RepMatrices:
                 raise AssertionError("T1 T2 != q T2 T1")
 
 
+def translation_action(
+    K: WenMatrix, numerators: Sequence[tuple[int, ...]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """T1 exponents and T2 slot permutation on cosets listed by their numerators.
+
+    Slot i holds the coset C_i / delta.  T1 has the exponent of
+    upsilon(u, C_i / delta) there, and T2 sends slot i to the slot of
+    C_i + U mod delta, where U is the numerator vector of u.
+    """
+    d = K.delta
+    U = K.u_numerators()
+    index = {c: i for i, c in enumerate(numerators)}
+    t1 = tuple(pairing_exponents(U, numerators, K))
+    t2 = tuple(index[tuple((x + y) % d for x, y in zip(c, U))] for c in numerators)
+    return t1, t2
+
+
 def rep_matrices(datum: WenDatum) -> RepMatrices:
     """Representation matrices of the magnetic translations.
 
@@ -127,23 +152,22 @@ def rep_matrices(datum: WenDatum) -> RepMatrices:
     ``RepMatrices.verify_relations``, not here.
     """
     K = datum.matrix
-    u = K.u_class()
+    d = K.delta
+    U = K.u_numerators()
     if K.primary:
-        basis = tuple(pi_scale(i, u) for i in range(K.delta))
+        nums = tuple(tuple(i * x % d for x in U) for i in range(d))
     else:
-        basis = pi_group(K).elements
-    index = {c: i for i, c in enumerate(basis)}
-    q_exp = upsilon_exponent(u, u, K)
-    if q_exp != K.rho % K.delta:
+        nums = pi_group(K).numerators
+    q_exp = next(pairing_exponents(U, (U,), K))
+    if q_exp != K.rho % d:
         raise AssertionError("pairing of u with itself must equal rho mod delta")
-    t1 = tuple(upsilon_exponent(u, c, K) for c in basis)
-    t2 = tuple(index[pi_add(c, u)] for c in basis)
+    t1, t2 = translation_action(K, nums)
     return RepMatrices(
-        delta=K.delta,
+        delta=d,
         q_exponent=q_exp,
         t1_exponents=t1,
         t2_permutation=t2,
-        basis=basis,
+        basis=coset_fractions(nums, d),
     )
 
 
@@ -155,10 +179,9 @@ def irreducibility_norm(K: WenMatrix) -> float:
     trace vanishes unless b = 0, where it is gamma sum_c upsilon(a, c): delta
     when upsilon(a, .) is trivial and 0 otherwise.  The mean of |trace|^2 over
     the delta^3 group elements is therefore the size of the radical
-    {a : upsilon(a, c) = 1 for all c}, counted here in exponent arithmetic;
-    it is 1.0 exactly when the representation is irreducible.
+    {a : upsilon(a, c) = 1 for all c}, counted here in exponent arithmetic
+    on the coset numerators; it is 1.0 exactly when the representation is
+    irreducible.
     """
-    group = pi_group(K).elements
-    return float(
-        sum(all(upsilon_exponent(a, c, K) == 0 for c in group) for a in group)
-    )
+    nums = pi_group(K).numerators
+    return float(sum(not any(pairing_exponents(A, nums, K)) for A in nums))

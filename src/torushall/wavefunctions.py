@@ -29,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .heisenberg import upsilon
+from .heisenberg import root_of_unity, translation_action
 from .theta import OmegaMatrix, TorusParams, _theta_sum, theta_odd_batch, truncation_plan
-from .wen import PiElement, WenDatum, pi_add, pi_group
+from .wen import PiElement, WenDatum, pi_group
 
 
 class ShapeMismatchError(ValueError):
@@ -189,12 +189,12 @@ def magnetic_residuals(spec: WaveFunctionSpec, z, tol: float = 1e-12) -> tuple[n
     over the cosets c of ``pi_group``; a NaN value gives a NaN residual.
     """
     K = spec.datum.matrix
-    u = K.u_class()
     grp = pi_group(K)
+    t1, t2 = translation_action(K, grp.numerators)
     base = phi_values(spec, grp.elements, z, tol)
     rhs = (
-        np.array([upsilon(u, c, K) for c in grp.elements])[:, None] * base,
-        base[[grp.index_of(pi_add(c, u)) for c in grp.elements]],
+        np.array([root_of_unity(e, K.delta) for e in t1])[:, None] * base,
+        base[list(t2)],
     )
     out = []
     for which, want in zip(("t1", "t2"), rhs):

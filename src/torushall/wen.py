@@ -13,11 +13,15 @@ data and computes their invariants exactly:
 
 Everything here runs on Python integers and ``fractions.Fraction``; no
 floating point enters this module, so all equalities asserted by callers
-are exact.
+are exact.  Every coset c of Pi has the form C / delta for an integer
+vector C in [0, delta)^g, and the coset algebra runs on these numerators
+C; Fractions are built only for the public ``PiGroup.elements``, from one
+table of the values k / delta.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,9 +132,10 @@ def smith_normal_form(
     """Smith normal form over the integers: returns (diag, S, T).
 
     ``diag(d_1, ..., d_n) = S @ mat @ T`` with S, T unimodular and
-    d_1 | d_2 | ... | d_n, all d_i >= 0.  Pivot rule: the entry of smallest
-    nonzero absolute value in the remaining block, ties broken row-major,
-    which makes the transforms reproducible across runs.
+    d_1 | d_2 | ... | d_n (checked on return), all d_i >= 0.  Pivot rule:
+    the entry of smallest nonzero absolute value in the remaining block,
+    ties broken row-major, which makes the transforms reproducible across
+    runs.
     """
     rows = _as_int_matrix(mat)
     n = len(rows)
@@ -205,6 +210,8 @@ def smith_normal_form(
             # fold the offending row into row k so the pivot shrinks
             row_sub(k, offender, -1)
     diag = tuple(a[i][i] for i in range(n))
+    if any(y % x if x else y for x, y in zip(diag, diag[1:])):
+        raise AssertionError("Smith normal form lost the divisibility chain")
     return diag, tuple(tuple(r) for r in s), tuple(tuple(r) for r in t)
 
 
@@ -226,30 +233,36 @@ def pi_canonical(vec: Iterable[Fraction]) -> PiElement:
     return tuple(Fraction(v) % 1 for v in vec)
 
 
-def pi_add(x: PiElement, y: PiElement) -> PiElement:
-    return tuple((u + v) % 1 for u, v in zip(x, y))
-
-
-def pi_scale(m: int, x: PiElement) -> PiElement:
-    return tuple((m * u) % 1 for u in x)
+def coset_fractions(
+    numerators: Sequence[tuple[int, ...]], delta: int
+) -> tuple[PiElement, ...]:
+    """The cosets C / delta as Fraction tuples, one Fraction per value k / delta."""
+    table = [Fraction(k, delta) for k in range(delta)]
+    return tuple(tuple(table[k] for k in c) for c in numerators)
 
 
 class PiGroup:
     """The finite group K^{-1}Z^g / Z^g with canonical representatives.
 
-    ``elements`` lists all ``delta`` cosets, each as a tuple of Fractions in
-    [0, 1), sorted lexicographically; ``invariant_factors`` is the Smith
-    normal form diagonal of K (so their product is delta).
+    ``numerators`` lists all ``delta`` cosets, each as its integer vector
+    C = delta c in [0, delta)^g, sorted lexicographically; ``elements``
+    lists the same cosets in the same order as tuples of Fractions c in
+    [0, 1); ``invariant_factors`` is the Smith normal form diagonal of K (so
+    their product is delta).
     """
 
     def __init__(
         self,
         invariant_factors: tuple[int, ...],
-        elements: tuple[PiElement, ...],
+        numerators: tuple[tuple[int, ...], ...],
     ) -> None:
         self.invariant_factors = invariant_factors
-        self.elements = elements
-        self.index_map = {e: i for i, e in enumerate(elements)}
+        self.numerators = numerators
+        self.elements = coset_fractions(numerators, len(numerators))
+
+    @functools.cached_property
+    def index_map(self) -> dict[PiElement, int]:
+        return {e: i for i, e in enumerate(self.elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -286,16 +299,9 @@ class WenMatrix:
         rows = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"WenMatrix[{rows}]"
 
-    def u_class(self) -> PiElement:
-        """The coset of u = K^{-1}e in Pi (entries reduced to [0, 1))."""
-        return pi_canonical(self.u)
-
-    def kinv_times(self, vec: Sequence[int]) -> tuple[Fraction, ...]:
-        """Exact K^{-1} @ vec for an integer vector."""
-        return tuple(
-            Fraction(sum(self.adjugate[i][j] * vec[j] for j in range(self.g)), self.delta)
-            for i in range(self.g)
-        )
+    def u_numerators(self) -> tuple[int, ...]:
+        """The coset of u = K^{-1}e in Pi as its numerators: Ksharp e mod delta."""
+        return tuple(sum(row) % self.delta for row in self.adjugate)
 
 
 @dataclass(frozen=True)
@@ -402,20 +408,21 @@ def pi_group(K: WenMatrix) -> PiGroup:
 
     Representatives come from the Smith normal form diag = S K T: the cosets
     of Z^g / K Z^g are S^{-1} r for r in the box prod [0, d_i), and each maps
-    to the canonical representative frac(K^{-1} S^{-1} r).
+    to the canonical representative frac(K^{-1} S^{-1} r), whose numerator
+    is Ksharp S^{-1} r mod delta.  Sorting the numerators sorts the cosets.
     """
     diag, s, _t = smith_normal_form(K.entries)
-    for i in range(len(diag) - 1):
-        if diag[i + 1] % diag[i]:
-            raise AssertionError("Smith normal form lost the divisibility chain")
     s_inv = unimodular_inverse(s)
-    elems = set()
-    for r in itertools.product(*(range(d) for d in diag)):
-        m = [sum(s_inv[i][j] * r[j] for j in range(K.g)) for i in range(K.g)]
-        elems.add(pi_canonical(K.kinv_times(m)))
-    if len(elems) != K.delta:
-        raise AssertionError(
-            f"enumerated {len(elems)} cosets, expected delta = {K.delta}"
-        )
-    return PiGroup(invariant_factors=diag, elements=tuple(sorted(elems)))
+    d, g = K.delta, K.g
+    m = [
+        [sum(K.adjugate[i][k] * s_inv[k][j] for k in range(g)) for j in range(g)]
+        for i in range(g)
+    ]
+    nums = {
+        tuple(sum(x * y for x, y in zip(row, r)) % d for row in m)
+        for r in itertools.product(*(range(f) for f in diag))
+    }
+    if len(nums) != d:
+        raise AssertionError(f"enumerated {len(nums)} cosets, expected delta = {d}")
+    return PiGroup(invariant_factors=diag, numerators=tuple(sorted(nums)))
 

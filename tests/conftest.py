@@ -1,7 +1,18 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from torushall.wen import WenMatrix, WenValidationError, pi_scale, validate_wen_matrix
+from torushall.heisenberg import root_of_unity, upsilon_exponent
+from torushall.wen import (
+    WenMatrix,
+    WenValidationError,
+    pi_canonical,
+    smith_normal_form,
+    unimodular_inverse,
+    validate_wen_matrix,
+)
 
 
 def random_wen_matrix(
@@ -36,8 +47,78 @@ def random_wen_matrix(
 
 def u_order(K: WenMatrix) -> int:
     """Order of the coset of u = K^{-1}e in Pi: the number of distinct multiples of u."""
-    u = K.u_class()
+    u = u_class(K)
     return len({pi_scale(m, u) for m in range(K.delta)})
+
+
+# ---------------------------------------------------------------------------
+# Coset algebra in Fraction arithmetic: each coset c of Pi = K^{-1}Z^g / Z^g
+# is a tuple of Fractions in [0, 1).  This is the direct reading of the
+# formulas, kept as an oracle for the integer-numerator code of the package.
+
+
+def pi_add(x, y):
+    return tuple((a + b) % 1 for a, b in zip(x, y))
+
+
+def pi_scale(m: int, x):
+    return tuple((m * a) % 1 for a in x)
+
+
+def u_class(K: WenMatrix):
+    """The coset of u = K^{-1}e in Pi (entries reduced to [0, 1))."""
+    return pi_canonical(K.u)
+
+
+def kinv_times(K: WenMatrix, vec):
+    """Exact K^{-1} @ vec for an integer vector."""
+    return tuple(
+        Fraction(sum(K.adjugate[i][j] * vec[j] for j in range(K.g)), K.delta) for i in range(K.g)
+    )
+
+
+def fraction_exponent(a, b, K: WenMatrix) -> int:
+    """delta a'K b mod delta in Fraction arithmetic, the formula's direct reading."""
+    acc = sum(
+        Fraction(a[i]) * K.entries[i][j] * Fraction(b[j]) for i in range(K.g) for j in range(K.g)
+    )
+    m = acc * K.delta
+    assert m.denominator == 1
+    return int(m) % K.delta
+
+
+def upsilon(a, b, K: WenMatrix) -> complex:
+    """The pairing value exp(2 pi i a'K b) as a complex root of unity."""
+    return root_of_unity(upsilon_exponent(a, b, K), K.delta)
+
+
+def fraction_pi_group(K: WenMatrix):
+    """(invariant factors, sorted cosets): Pi enumerated as frac(K^{-1} S^{-1} r) over the Smith box."""
+    diag, s, _t = smith_normal_form(K.entries)
+    s_inv = unimodular_inverse(s)
+    elems = set()
+    for r in itertools.product(*(range(d) for d in diag)):
+        m = [sum(s_inv[i][j] * r[j] for j in range(K.g)) for i in range(K.g)]
+        elems.add(pi_canonical(kinv_times(K, m)))
+    assert len(elems) == K.delta
+    return diag, tuple(sorted(elems))
+
+
+def fraction_rep_matrices(K: WenMatrix):
+    """(q exponent, T1 exponents, T2 permutation, basis) of the magnetic translations.
+
+    The basis is the powers of u for a primary K and ``fraction_pi_group``'s
+    order otherwise; T1 is upsilon(u, c) and T2 sends c to c + u.
+    """
+    u = u_class(K)
+    if K.primary:
+        basis = tuple(pi_scale(i, u) for i in range(K.delta))
+    else:
+        basis = fraction_pi_group(K)[1]
+    index = {c: i for i, c in enumerate(basis)}
+    t1 = tuple(fraction_exponent(u, c, K) for c in basis)
+    t2 = tuple(index[pi_add(c, u)] for c in basis)
+    return fraction_exponent(u, u, K), t1, t2, basis
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import pi_add, u_class
 from torushall.gram import (
     DEFAULT_BUDGET,
     QuadratureSpec,
@@ -25,7 +26,6 @@ from torushall.theta import (
 from torushall.wavefunctions import WaveFunctionSpec
 from torushall.wen import (
     jain_matrix,
-    pi_add,
     pi_group,
     validate_wen_datum,
     validate_wen_matrix,
@@ -255,7 +255,7 @@ class TestGramCenter:
     def _assert_permutes(cls, monkeypatch, K, xi):
         # re-ordering the basis by c -> c + u permutes the same estimates
         grp = pi_group(K)
-        u = K.u_class()
+        u = u_class(K)
         base = cls._gram_center_in_order(monkeypatch, K, xi, grp.elements)
         shifted = tuple(pi_add(c, u) for c in grp.elements)
         perm = [grp.index_of(c) for c in shifted]

@@ -3,17 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_wen_matrix
+from conftest import fraction_exponent, pi_add, random_wen_matrix, upsilon
 from torushall.heisenberg import (
     RepMatrices,
     irreducibility_norm,
     rep_matrices,
-    upsilon,
     upsilon_exponent,
 )
 from torushall.wen import (
     jain_matrix,
-    pi_add,
     pi_group,
     validate_wen_datum,
     validate_wen_matrix,
@@ -43,16 +41,6 @@ def _dense_schur_sum(K):
     return total / d**3
 
 
-def _fraction_exponent(a, b, K):
-    """delta a'K b mod delta in Fraction arithmetic, the formula's direct reading."""
-    acc = sum(
-        Fraction(a[i]) * K.entries[i][j] * Fraction(b[j]) for i in range(K.g) for j in range(K.g)
-    )
-    m = acc * K.delta
-    assert m.denominator == 1
-    return int(m) % K.delta
-
-
 class TestUpsilon:
     def test_zero_left_slot(self):
         K = jain_matrix(1, 2)
@@ -77,7 +65,7 @@ class TestUpsilon:
                 a = grp.elements[rng.integers(0, len(grp))]
                 b = grp.elements[rng.integers(0, len(grp))]
                 assert upsilon_exponent(a, b, K) == upsilon_exponent(b, a, K)
-                assert upsilon_exponent(a, b, K) == _fraction_exponent(a, b, K)
+                assert upsilon_exponent(a, b, K) == fraction_exponent(a, b, K)
 
     def test_off_lattice_rejected(self):
         K = jain_matrix(1, 2)  # delta = 3
@@ -238,11 +226,11 @@ class TestCharacterNorm:
     def test_doubled_pairing_counts_its_radical(self, monkeypatch):
         from torushall import checks, heisenberg
 
-        exact = heisenberg.upsilon_exponent
+        exact = heisenberg.pairing_exponents
         monkeypatch.setattr(
             heisenberg,
-            "upsilon_exponent",
-            lambda a, b, K: 2 * exact(a, b, K) % K.delta,
+            "pairing_exponents",
+            lambda A, Bs, K: (2 * m % K.delta for m in exact(A, Bs, K)),
         )
         norm = irreducibility_norm(validate_wen_matrix([[4]]))
         assert norm == 2.0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import pi_add, u_class, upsilon
 from torushall import checks
-from torushall.heisenberg import upsilon
 from torushall.theta import (
     ThetaCharacteristics,
     TorusParams,
@@ -27,7 +27,6 @@ from torushall.wavefunctions import (
     random_configuration,
 )
 from torushall.wen import (
-    pi_add,
     pi_group,
     validate_wen_datum,
     validate_wen_matrix,
@@ -271,7 +270,7 @@ class TestMagneticAction:
     def test_t1_eigenvalue_constant(self, rng):
         spec = _spec([[2]], (2,), (0.1 + 0.2j,))
         K = spec.datum.matrix
-        u = K.u_class()
+        u = u_class(K)
         for c in pi_group(K).elements:
             ratios = []
             for _ in range(5):
@@ -311,7 +310,7 @@ class TestMagneticAction:
         # applying T2 delta times walks the u-orbit back to the start
         spec = _spec([[2, 1], [1, 2]], (1, 1), (0.1j, 0.2))
         K = spec.datum.matrix
-        u = K.u_class()
+        u = u_class(K)
         config = random_configuration(spec, rng)
         c = pi_group(K).elements[1]
         # T2^j Phi_c(z) is the product of the T2 factors along z, z + tau/d, ...

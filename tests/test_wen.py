@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from conftest import random_wen_matrix, u_order
+from conftest import pi_add, random_wen_matrix, u_order
 from torushall.wen import (
     MixedParityError,
     NegativeEntryError,
@@ -175,8 +175,6 @@ class TestPiGroup:
     def test_closed_under_addition(self, rng):
         K = random_wen_matrix(rng, gmax=3)
         grp = pi_group(K)
-        from torushall.wen import pi_add
-
         for x in grp.elements:
             for y in grp.elements:
                 assert pi_add(x, y) in grp.index_map
