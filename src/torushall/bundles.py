@@ -100,19 +100,12 @@ def primal_lattice_generators(K: WenMatrix, tau: TorusParams | complex) -> np.nd
 def dual_lattice_generators(K: WenMatrix, tau: TorusParams | complex) -> np.ndarray:
     """Rows: the 2g generators (1/t) K^{-1} e_j and (tau/t) e_j of the dual.
 
-    The rational parts K^{-1} e_j are computed exactly from the adjugate
+    Each entry of K^{-1} e_j is an adjugate entry over delta, rounded once,
     before the single division by t.
     """
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
-    g = K.g
-    kinv = np.array(
-        [[Fraction(K.adjugate[i][j], K.delta) for j in range(g)] for i in range(g)],
-        dtype=object,
-    )
-    first = np.array(
-        [[float(kinv[i][j]) for i in range(g)] for j in range(g)], dtype=complex
-    )
-    second = tp.tau * np.eye(g, dtype=complex)
+    first = np.array(K.adjugate, dtype=float).T / K.delta
+    second = tp.tau * np.eye(K.g, dtype=complex)
     return np.vstack([first, second]) / tp.t
 
 

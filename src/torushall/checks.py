@@ -14,6 +14,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -27,7 +28,6 @@ from .theta import (
     jacobi_theta_batch,
     riemann_theta,
     riemann_theta_batch,
-    theta_odd,
     theta_odd_batch,
 )
 
@@ -121,13 +121,10 @@ def _residual(lhs, rhs):
     return np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def check_theta_laws(
-    seed: int = 0, samples: int = 100, zero_at_samples: bool = False
-) -> list[dict]:
-    """Quasi-periodicity and oddness at ``samples`` random (tau, z, a, b).
+def check_theta_laws(seed: int = 0, samples: int = 100) -> list[dict]:
+    """Quasi-periodicity, oddness and theta_odd(0) = 0 at ``samples`` random (tau, z, a, b).
 
-    theta_odd(0) = 0 is taken at 10 further random tau and, with
-    ``zero_at_samples``, also at every sampled tau.
+    theta_odd(0) is the third point of the oddness batch at each sampled tau.
     """
     rng = np.random.default_rng(seed)
     worst_shift1 = worst_shift_tau = worst_odd = zero = 0.0
@@ -139,12 +136,9 @@ def check_theta_laws(
         worst_shift1 = _worst(worst_shift1, _residual(lhs1, np.exp(2j * np.pi * a) * base))
         fac = np.exp(-2j * np.pi * (z + b) - 1j * np.pi * tau.tau)
         worst_shift_tau = _worst(worst_shift_tau, _residual(lhs2, fac * base))
-        plus, minus = theta_odd_batch([z, -z], tau)
+        plus, minus, origin = theta_odd_batch([z, -z, 0.0], tau)
         worst_odd = _worst(worst_odd, abs(plus + minus))
-        if zero_at_samples:
-            zero = _worst(zero, abs(theta_odd(0.0, tau)))
-    taus = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)) for _ in range(10)]
-    zero = _worst(zero, *(abs(theta_odd(0.0, TorusParams(t))) for t in taus))
+        zero = _worst(zero, abs(origin))
     return [
         record("theta.shift_one", worst_shift1),
         record("theta.shift_tau", worst_shift_tau),
@@ -210,7 +204,7 @@ def check_wen_exactness(pmax: int = 6, gmax: int = 6) -> list[dict]:
                 K.delta == p * g + 1
                 and K.rho == g
                 and K.primary
-                and all(x == wen.Fraction(1, K.delta) for x in K.u)
+                and all(x == Fraction(1, K.delta) for x in K.u)
             )
             for i in range(g):
                 for j in range(g):

@@ -10,8 +10,8 @@ integer exponents modulo delta throughout, so the translation relations
 and the character norm are exact integer statements; complex matrices are
 only materialized at the API boundary.  Cosets are carried the same way,
 as integer numerator vectors A = delta a (see ``torushall.wen``): the
-exponent of upsilon(a, b) is A'K B / delta mod delta, and Fractions are
-built only for ``RepMatrices.basis`` and taken only by ``upsilon_exponent``.
+exponent of upsilon(a, b) is A'K B / delta mod delta, and the Fraction
+view ``RepMatrices.basis`` is built on first read.
 
 The representation matrices are those of the magnetic translations on the
 distinguished theta basis: T1 acts diagonally with eigenvalue
@@ -23,8 +23,8 @@ T2 the full cycle, with q = exp(2 pi i rho / delta) primitive.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -48,16 +48,6 @@ def pairing_exponents(A: Sequence[int], Bs: Iterable[Sequence[int]], K: WenMatri
         yield m % d
 
 
-def upsilon_exponent(a: Sequence[Fraction], b: Sequence[Fraction], K: WenMatrix) -> int:
-    """``pairing_exponents`` of one pair of rational vectors a, b in K^{-1}Z^g."""
-    d, g = K.delta, K.g
-    scaled = [divmod(x.numerator * d, x.denominator) for x in (*a, *b)]
-    if any(r for _, r in scaled):
-        raise ValueError("arguments do not lie in K^{-1}Z^g")
-    A, B = [q for q, _ in scaled[:g]], [q for q, _ in scaled[g:]]
-    return next(pairing_exponents(A, (B,), K))
-
-
 def root_of_unity(exponent: int, order: int) -> complex:
     return complex(np.exp(2j * np.pi * (exponent % order) / order))
 
@@ -69,14 +59,20 @@ class RepMatrices:
     ``t1_exponents[i]`` is the exponent of the diagonal entry of T1 at basis
     slot i, ``t2_permutation[i]`` the slot that T2 sends slot i to, and
     ``q_exponent`` the exponent of q in T1 T2 = q T2 T1 -- all modulo delta,
-    all exact.
+    all exact.  ``numerators[i]`` is the coset at slot i as its numerator
+    vector delta c.
     """
 
     delta: int
     q_exponent: int
     t1_exponents: tuple[int, ...]
     t2_permutation: tuple[int, ...]
-    basis: tuple[PiElement, ...]
+    numerators: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def basis(self) -> tuple[PiElement, ...]:
+        """The slot cosets as Fraction tuples c in [0, 1), built on first read."""
+        return coset_fractions(self.numerators, self.delta)
 
     @property
     def q(self) -> complex:
@@ -167,7 +163,7 @@ def rep_matrices(datum: WenDatum) -> RepMatrices:
         q_exponent=q_exp,
         t1_exponents=t1,
         t2_permutation=t2,
-        basis=coset_fractions(nums, d),
+        numerators=nums,
     )
 
 

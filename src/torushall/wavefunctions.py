@@ -25,6 +25,7 @@ permutes c -> c + u.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -211,10 +212,19 @@ def magnetic_action_residual(
     configs: Sequence[Configuration],
     tol: float = 1e-12,
 ) -> float:
-    """Largest ``magnetic_residuals`` defect of coset c under T1 or T2 over configs."""
+    """Largest ``magnetic_residuals`` defect of coset c under T1 or T2 over configs.
+
+    c is found by its numerator delta c mod delta; a c outside K^{-1}Z^g
+    raises ``ValueError``.
+    """
+    K = spec.datum.matrix
+    nums = pi_group(K).numerators
+    scaled = [Fraction(x) * K.delta for x in c]
+    key = tuple(int(x) % K.delta for x in scaled)
+    if any(x.denominator != 1 for x in scaled) or key not in nums:
+        raise ValueError(f"c = {tuple(str(x) for x in c)} does not lie in K^-1 Z^g")
     residuals = magnetic_residuals(spec, configuration_array(configs), tol)
-    slot = pi_group(spec.datum.matrix).index_of(c)
-    return float(np.max(residuals[("t1", "t2").index(which)][slot]))
+    return float(np.max(residuals[("t1", "t2").index(which)][nums.index(key)]))
 
 
 def random_configuration(spec: WaveFunctionSpec, rng: np.random.Generator) -> Configuration:

@@ -14,9 +14,10 @@ data and computes their invariants exactly:
 Everything here runs on Python integers and ``fractions.Fraction``; no
 floating point enters this module, so all equalities asserted by callers
 are exact.  Every coset c of Pi has the form C / delta for an integer
-vector C in [0, delta)^g, and the coset algebra runs on these numerators
-C; Fractions are built only for the public ``PiGroup.elements``, from one
-table of the values k / delta.
+vector C in [0, delta)^g, and these numerators C are the only coset
+representation the package stores; the Fraction view
+``PiGroup.elements`` is built on first read, from one table of the values
+k / delta.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 #: Canonical coset representative of an element of Pi = K^{-1}Z^g / Z^g:
@@ -215,22 +216,8 @@ def smith_normal_form(
     return diag, tuple(tuple(r) for r in s), tuple(tuple(r) for r in t)
 
 
-def unimodular_inverse(mat: Sequence[Sequence[int]]) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
-    d = det_int(mat)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det={d})")
-    adj = adjugate_int(mat)
-    return tuple(tuple(d * x for x in row) for row in adj)
-
-
 # ---------------------------------------------------------------------------
 # coset arithmetic in Pi = K^{-1}Z^g / Z^g
-
-
-def pi_canonical(vec: Iterable[Fraction]) -> PiElement:
-    """Reduce a rational vector to its representative in [0, 1)^g."""
-    return tuple(Fraction(v) % 1 for v in vec)
 
 
 def coset_fractions(
@@ -241,37 +228,26 @@ def coset_fractions(
     return tuple(tuple(table[k] for k in c) for c in numerators)
 
 
+@dataclass(eq=False)
 class PiGroup:
     """The finite group K^{-1}Z^g / Z^g with canonical representatives.
 
     ``numerators`` lists all ``delta`` cosets, each as its integer vector
-    C = delta c in [0, delta)^g, sorted lexicographically; ``elements``
-    lists the same cosets in the same order as tuples of Fractions c in
-    [0, 1); ``invariant_factors`` is the Smith normal form diagonal of K (so
-    their product is delta).
+    C = delta c in [0, delta)^g, sorted lexicographically;
+    ``invariant_factors`` is the Smith normal form diagonal of K (so their
+    product is delta).
     """
 
-    def __init__(
-        self,
-        invariant_factors: tuple[int, ...],
-        numerators: tuple[tuple[int, ...], ...],
-    ) -> None:
-        self.invariant_factors = invariant_factors
-        self.numerators = numerators
-        self.elements = coset_fractions(numerators, len(numerators))
+    invariant_factors: tuple[int, ...]
+    numerators: tuple[tuple[int, ...], ...]
 
     @functools.cached_property
-    def index_map(self) -> dict[PiElement, int]:
-        return {e: i for i, e in enumerate(self.elements)}
+    def elements(self) -> tuple[PiElement, ...]:
+        """``numerators`` as Fraction tuples c = C / delta in [0, 1), built on first read."""
+        return coset_fractions(self.numerators, len(self.numerators))
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def index_of(self, elem: PiElement) -> int:
-        return self.index_map[pi_canonical(elem)]
-
-    def __iter__(self):
-        return iter(self.elements)
+        return len(self.numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +372,7 @@ def validate_wen_datum(K: WenMatrix, n_vec: Sequence[int]) -> WenDatum:
         )
     n = sum(nv)
     # rho = n*delta/d is forced by u = n/d; keep the exact cross-check anyway
-    if Fraction(n * K.delta, d) != K.rho:
+    if n * K.delta != K.rho * d:
         raise NotEigenvectorError(
             f"inconsistent datum: n*delta/d = {n * K.delta}/{d} != rho = {K.rho}"
         )
@@ -406,18 +382,15 @@ def validate_wen_datum(K: WenMatrix, n_vec: Sequence[int]) -> WenDatum:
 def pi_group(K: WenMatrix) -> PiGroup:
     """Enumerate all delta cosets of K^{-1}Z^g / Z^g.
 
-    Representatives come from the Smith normal form diag = S K T: the cosets
-    of Z^g / K Z^g are S^{-1} r for r in the box prod [0, d_i), and each maps
-    to the canonical representative frac(K^{-1} S^{-1} r), whose numerator
-    is Ksharp S^{-1} r mod delta.  Sorting the numerators sorts the cosets.
+    Representatives come from the Smith normal form D = S K T: the cosets
+    of Z^g / K Z^g are S^{-1} r for r in the box prod [0, d_j), and each maps
+    to the canonical representative frac(K^{-1} S^{-1} r) = frac(T D^{-1} r),
+    whose numerator is sum_j (delta / d_j) r_j T[:, j] mod delta.  Sorting
+    the numerators sorts the cosets.
     """
-    diag, s, _t = smith_normal_form(K.entries)
-    s_inv = unimodular_inverse(s)
-    d, g = K.delta, K.g
-    m = [
-        [sum(K.adjugate[i][k] * s_inv[k][j] for k in range(g)) for j in range(g)]
-        for i in range(g)
-    ]
+    diag, _s, t = smith_normal_form(K.entries)
+    d = K.delta
+    m = [[d // f * x for x, f in zip(row, diag)] for row in t]  # delta T D^{-1} = Ksharp S^{-1}
     nums = {
         tuple(sum(x * y for x, y in zip(row, r)) % d for row in m)
         for r in itertools.product(*(range(f) for f in diag))
@@ -425,4 +398,3 @@ def pi_group(K: WenMatrix) -> PiGroup:
     if len(nums) != d:
         raise AssertionError(f"enumerated {len(nums)} cosets, expected delta = {d}")
     return PiGroup(invariant_factors=diag, numerators=tuple(sorted(nums)))
-

@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torushall.heisenberg import root_of_unity, upsilon_exponent
+from torushall.heisenberg import pairing_exponents, root_of_unity
 from torushall.wen import (
+    PiGroup,
     WenMatrix,
     WenValidationError,
-    pi_canonical,
+    adjugate_int,
+    det_int,
     smith_normal_form,
-    unimodular_inverse,
     validate_wen_matrix,
 )
 
@@ -57,6 +58,24 @@ def u_order(K: WenMatrix) -> int:
 # formulas, kept as an oracle for the integer-numerator code of the package.
 
 
+def pi_canonical(vec):
+    """Reduce a rational vector to its representative in [0, 1)^g."""
+    return tuple(Fraction(v) % 1 for v in vec)
+
+
+def coset_index(grp: PiGroup, c) -> int:
+    """The position of the coset of c in ``grp.elements``."""
+    return grp.elements.index(pi_canonical(c))
+
+
+def unimodular_inverse(mat):
+    """Exact inverse of a matrix with determinant +-1."""
+    d = det_int(mat)
+    if d not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (det={d})")
+    return tuple(tuple(d * x for x in row) for row in adjugate_int(mat))
+
+
 def pi_add(x, y):
     return tuple((a + b) % 1 for a, b in zip(x, y))
 
@@ -85,6 +104,16 @@ def fraction_exponent(a, b, K: WenMatrix) -> int:
     m = acc * K.delta
     assert m.denominator == 1
     return int(m) % K.delta
+
+
+def upsilon_exponent(a, b, K: WenMatrix) -> int:
+    """``pairing_exponents`` of one pair of rational vectors a, b in K^{-1}Z^g."""
+    d, g = K.delta, K.g
+    scaled = [divmod(x.numerator * d, x.denominator) for x in (*a, *b)]
+    if any(r for _, r in scaled):
+        raise ValueError("arguments do not lie in K^{-1}Z^g")
+    A, B = [q for q, _ in scaled[:g]], [q for q, _ in scaled[g:]]
+    return next(pairing_exponents(A, (B,), K))
 
 
 def upsilon(a, b, K: WenMatrix) -> complex:

@@ -39,7 +39,7 @@ def _report(num, name, records, elapsed, budget, ok=True):
 
 def test_criterion_1_theta_laws():
     start = time.perf_counter()
-    records = checks.check_theta_laws(seed=101, samples=100, zero_at_samples=True)
+    records = checks.check_theta_laws(seed=101, samples=100)
     _report(1, "one-variable theta laws", records, time.perf_counter() - start, 2.0)
 
 

@@ -1,6 +1,5 @@
 import json
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -171,7 +170,7 @@ class TestCli:
 
         broken = heisenberg.RepMatrices(
             delta=3, q_exponent=2, t1_exponents=(0, 1, 2), t2_permutation=(1, 2, 0),
-            basis=tuple((Fraction(i, 3),) for i in range(3)),
+            numerators=tuple((i,) for i in range(3)),
         )
         monkeypatch.setattr(heisenberg, "rep_matrices", lambda datum: broken)
         with pytest.raises(AssertionError, match="T1 T2 != q T2 T1"):

@@ -2,7 +2,8 @@
 
 ``pi_group`` and ``rep_matrices`` carry each coset c of Pi as its numerator
 vector delta c; their public Fraction values must equal, in value, type and
-order, those of the Fraction enumeration in ``conftest``.
+order, those of the Fraction enumeration in ``conftest``, and build them
+only when read.
 """
 
 from fractions import Fraction
@@ -54,3 +55,24 @@ def test_random_matrices_match_oracle():
 )
 def test_large_delta_matches_oracle(K):
     _assert_matches_oracle(K)
+
+
+def test_fractions_built_once_on_first_read(monkeypatch):
+    from torushall import heisenberg, wen
+
+    calls = []
+    real = wen.coset_fractions
+
+    def spy(numerators, delta):
+        calls.append(delta)
+        return real(numerators, delta)
+
+    monkeypatch.setattr(wen, "coset_fractions", spy)
+    monkeypatch.setattr(heisenberg, "coset_fractions", spy)
+    K = jain_matrix(4999, 2)
+    grp = pi_group(K)
+    rep = rep_matrices(_datum(K))
+    assert calls == []
+    assert grp.elements is grp.elements
+    assert rep.basis is rep.basis
+    assert calls == [K.delta, K.delta]

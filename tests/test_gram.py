@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import pi_add, u_class
+from conftest import coset_index, pi_add, u_class
 from torushall.gram import (
     DEFAULT_BUDGET,
     QuadratureSpec,
@@ -258,7 +258,7 @@ class TestGramCenter:
         u = u_class(K)
         base = cls._gram_center_in_order(monkeypatch, K, xi, grp.elements)
         shifted = tuple(pi_add(c, u) for c in grp.elements)
-        perm = [grp.index_of(c) for c in shifted]
+        perm = [coset_index(grp, c) for c in shifted]
         moved = cls._gram_center_in_order(monkeypatch, K, xi, shifted)
         assert perm != list(range(K.delta))
         for i in range(K.delta):

@@ -3,13 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import fraction_exponent, pi_add, random_wen_matrix, upsilon
-from torushall.heisenberg import (
-    RepMatrices,
-    irreducibility_norm,
-    rep_matrices,
+from conftest import (
+    coset_index,
+    fraction_exponent,
+    pi_add,
+    random_wen_matrix,
+    upsilon,
     upsilon_exponent,
 )
+from torushall.heisenberg import RepMatrices, irreducibility_norm, rep_matrices
 from torushall.wen import (
     jain_matrix,
     pi_group,
@@ -30,11 +32,11 @@ def _dense_schur_sum(K):
     grp = pi_group(K)
     d = K.delta
     total = 0.0
-    for a in grp:
-        for b in grp:
+    for a in grp.elements:
+        for b in grp.elements:
             mat = np.zeros((d, d), dtype=complex)
-            for i, c in enumerate(grp):
-                mat[grp.index_of(pi_add(c, b)), i] = upsilon(a, c, K)
+            for i, c in enumerate(grp.elements):
+                mat[coset_index(grp, pi_add(c, b)), i] = upsilon(a, c, K)
             trace = np.trace(mat)
             # gamma ranges over the delta roots of unity; |gamma trace|^2 = |trace|^2
             total += d * abs(trace) ** 2
@@ -167,9 +169,9 @@ class TestVerifyRelations:
 
     @staticmethod
     def _rep(delta, q, t1, t2):
-        basis = tuple((Fraction(i, delta),) for i in range(delta))
+        numerators = tuple((i,) for i in range(delta))
         return RepMatrices(
-            delta=delta, q_exponent=q, t1_exponents=t1, t2_permutation=t2, basis=basis
+            delta=delta, q_exponent=q, t1_exponents=t1, t2_permutation=t2, numerators=numerators
         )
 
     def test_valid_cycle_accepted(self):

@@ -135,20 +135,19 @@ class TestOddTheta:
     def test_check_takes_zero_at_every_sampled_tau(self, monkeypatch):
         from torushall import checks
 
-        taus = []
-        real = checks.theta_odd
+        batch_taus, zero_taus = [], []
+        real = checks.theta_odd_batch
 
         def spy(z, tau, tol=1e-12):
-            if z == 0:
-                taus.append(tau)
+            batch_taus.append(tau)
+            if 0 in z:
+                zero_taus.append(tau)
             return real(z, tau, tol)
 
-        monkeypatch.setattr(checks, "theta_odd", spy)
+        monkeypatch.setattr(checks, "theta_odd_batch", spy)
         checks.check_theta_laws(seed=1, samples=5)
-        assert len(taus) == 10
-        taus.clear()
-        checks.check_theta_laws(seed=1, samples=5, zero_at_samples=True)
-        assert len(taus) == 15
+        assert len(batch_taus) == 5
+        assert zero_taus == batch_taus
 
     def test_odd(self, rng):
         for _ in range(100):

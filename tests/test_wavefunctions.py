@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,21 @@ class TestMagneticAction:
         for c in grp.elements:
             assert magnetic_action_residual(spec, c, "t1", configs) < 1e-9
             assert magnetic_action_residual(spec, c, "t2", configs) < 1e-9
+
+    @pytest.mark.parametrize(
+        "rows, n_vec, c",
+        [
+            # delta c = 3/7 is not an integer; truncating it would pick slot 0
+            ([[3]], (1,), (Fraction(1, 7),)),
+            # delta c = (1, 0) is an integer vector, but c is not in K^-1 Z^2
+            ([[2, 0], [0, 2]], (1, 1), (Fraction(1, 4), Fraction(0))),
+        ],
+        ids=["k3", "diag2"],
+    )
+    def test_residual_rejects_c_outside_lattice(self, rng, rows, n_vec, c):
+        spec = _spec(rows, n_vec, (0.1j,) * len(n_vec))
+        with pytest.raises(ValueError, match="does not lie in"):
+            magnetic_action_residual(spec, c, "t1", [random_configuration(spec, rng)])
 
     def test_t1_fixes_invariant_vector(self, rng):
         # c = 0 pairs trivially with u, so T1 has eigenvalue 1 there
