@@ -30,6 +30,7 @@ from .theta import (
     riemann_theta_batch,
     theta_odd_batch,
 )
+from .wavefunctions import covariance_residual
 
 # name -> (law, threshold on the measured defect)
 LAWS: dict[str, tuple[str, float]] = {
@@ -116,11 +117,6 @@ def _worst(*values: float) -> float:
     return float(np.max(values))
 
 
-def _residual(lhs, rhs):
-    """|lhs - rhs| / max(1, |lhs|, |rhs|), elementwise; NaN stays NaN."""
-    return np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-
-
 def check_theta_laws(seed: int = 0, samples: int = 100) -> list[dict]:
     """Quasi-periodicity, oddness and theta_odd(0) = 0 at ``samples`` random (tau, z, a, b).
 
@@ -133,9 +129,9 @@ def check_theta_laws(seed: int = 0, samples: int = 100) -> list[dict]:
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         a, b = rng.uniform(-0.5, 0.5, size=2)
         base, lhs1, lhs2 = jacobi_theta_batch(a, b, [z, z + 1, z + tau.tau], tau)
-        worst_shift1 = _worst(worst_shift1, _residual(lhs1, np.exp(2j * np.pi * a) * base))
+        worst_shift1 = _worst(worst_shift1, covariance_residual(base, lhs1, np.exp(2j * np.pi * a)))
         fac = np.exp(-2j * np.pi * (z + b) - 1j * np.pi * tau.tau)
-        worst_shift_tau = _worst(worst_shift_tau, _residual(lhs2, fac * base))
+        worst_shift_tau = _worst(worst_shift_tau, covariance_residual(base, lhs2, fac))
         plus, minus, origin = theta_odd_batch([z, -z, 0.0], tau)
         worst_odd = _worst(worst_odd, abs(plus + minus))
         zero = _worst(zero, abs(origin))
@@ -169,9 +165,9 @@ def check_multitheta_laws(seed: int = 0, samples: int = 20) -> list[dict]:
             base, lhs1, lhs2 = riemann_theta_batch(chars, [z, z + l, z + om.omega @ l], om)
             a = np.asarray(chars.a)
             b = np.asarray(chars.b)
-            worst1 = _worst(worst1, _residual(lhs1, np.exp(2j * np.pi * (a @ l)) * base))
+            worst1 = _worst(worst1, covariance_residual(base, lhs1, np.exp(2j * np.pi * (a @ l))))
             fac = np.exp(-2j * np.pi * (l @ (z + b)) - 1j * np.pi * (l @ om.omega @ l))
-            worst2 = _worst(worst2, _residual(lhs2, fac * base))
+            worst2 = _worst(worst2, covariance_residual(base, lhs2, fac))
         # diagonal factorization
         for _ in range(5):
             diag = rng.uniform(-0.4, 0.4, size=g) + 1j * rng.uniform(0.6, 1.6, size=g)
@@ -274,7 +270,11 @@ def gram_manybody_records(report: gram.GramReport) -> list[dict]:
 def check_kvw_quasi_periodicity(
     spec: wavefunctions.WaveFunctionSpec, seed: int = 0, samples: int = 10
 ) -> list[dict]:
-    """Move one drawn coordinate z_p^(k) of each configuration by 1 and by tau."""
+    """Move one drawn coordinate z_p^(k) of each configuration by 1 and by tau.
+
+    Moving by 1 multiplies Phi_c by the sector sign eps, moving by tau by
+    eps exp(-2 pi i xi_k) phi(z_p^(k))^d with phi(z) = exp(-pi i tau - 2 pi i z).
+    """
     rng = np.random.default_rng(seed)
     cosets = wen.pi_group(spec.datum.matrix).elements
     configs, slots, ks, cols = [], [], [], []
@@ -284,22 +284,24 @@ def check_kvw_quasi_periodicity(
         slots.append(int(rng.integers(0, len(cosets))))
         ks.append(int(rng.integers(0, spec.g)))
         cols.append(first[ks[-1]] + int(rng.integers(0, spec.datum.n_vec[ks[-1]])))
-    z = wavefunctions.configuration_array(configs)
+    z = np.array(configs)
     rows = np.arange(samples)
 
     def phi(moved):  # Phi_c of each row's own coset
         return wavefunctions.phi_values(spec, cosets, moved)[slots, rows]
 
+    eps, tau = spec.sector_sign(), spec.torus.tau
+    xi = np.asarray(spec.xi, dtype=complex)[ks]
+    phi_tau = np.exp(-1j * np.pi * tau - 2j * np.pi * z[rows, cols])
     base = phi(z)
     out = []
-    for name, step, direction in (
-        ("wavefn.shift_one", 1.0, "1"),
-        ("wavefn.shift_tau", spec.torus.tau, "tau"),
+    for name, step, factor in (
+        ("wavefn.shift_one", 1.0, complex(eps)),
+        ("wavefn.shift_tau", tau, eps * np.exp(-2j * np.pi * xi) * phi_tau**spec.datum.d),
     ):
         moved = z.copy()
         moved[rows, cols] += step
-        fac = wavefunctions.lattice_shift_factor(spec, ks, z[rows, cols], direction)
-        out.append(record(name, _worst(_residual(phi(moved), fac * base))))
+        out.append(record(name, _worst(covariance_residual(base, phi(moved), factor))))
     return out
 
 
@@ -307,8 +309,8 @@ def check_magnetic_action(
     spec: wavefunctions.WaveFunctionSpec, seed: int = 0, samples: int = 10
 ) -> list[dict]:
     rng = np.random.default_rng(seed)
-    configs = [wavefunctions.random_configuration(spec, rng) for _ in range(samples)]
-    t1, t2 = wavefunctions.magnetic_residuals(spec, wavefunctions.configuration_array(configs))
+    z = np.array([wavefunctions.random_configuration(spec, rng) for _ in range(samples)])
+    t1, t2 = wavefunctions.magnetic_residuals(spec, z)
     return [record("magnetic.t1_eigenvalue", _worst(t1)), record("magnetic.t2_shift", _worst(t2))]
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .serialize import (
     SchemaError,
     complex_to_pair,
     load_input,
+    pair_to_complex,
     render_checks_human,
     render_json,
 )
@@ -36,7 +37,7 @@ SCHEMA_VERSION = 1
 def _default_n(K: wen.WenMatrix) -> tuple[int, ...]:
     """Smallest particle vector proportional to the adjugate row sums."""
     sums = [sum(row) for row in K.adjugate]
-    g0 = gcd(*sums)
+    g0 = math.gcd(*sums)
     return tuple(x // g0 for x in sums)
 
 
@@ -158,23 +159,19 @@ def cmd_theta_eval(args) -> int:
     return 0
 
 
-def _load_config(path: str, datum: wen.WenDatum) -> wavefunctions.Configuration:
+def _load_config(path: str, datum: wen.WenDatum) -> np.ndarray:
+    """The nested per-layer [re, im] pairs of a configuration file, as an (n,) array."""
     try:
         nested = json.loads(Path(path).read_text())
+        layers = [[pair_to_complex(p, "configuration point") for p in layer] for layer in nested]
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid configuration JSON: {exc}") from exc
-    try:
-        layers = tuple(
-            tuple(complex(p[0], p[1]) for p in layer) for layer in nested
-        )
-    except (TypeError, IndexError) as exc:
+    except TypeError as exc:
         raise SchemaError("configuration must be nested [re, im] pairs per layer") from exc
-    config = wavefunctions.Configuration(layers)
-    if config.sizes != datum.n_vec:
-        raise SchemaError(
-            f"configuration sizes {config.sizes} do not match n = {datum.n_vec}"
-        )
-    return config
+    sizes = tuple(len(layer) for layer in layers)
+    if sizes != datum.n_vec:
+        raise SchemaError(f"configuration sizes {sizes} do not match n = {datum.n_vec}")
+    return np.array(sum(layers, []), dtype=complex)
 
 
 def cmd_wf_eval(args) -> int:
@@ -303,9 +300,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return value
+
+
 FLAGS = {
     "input": dict(required=True, help="input document (JSON or matrix text)"),
-    "tol": dict(type=float, default=gram.DEFAULT_TOL, help="series tolerance (at least 1e-14)"),
+    "tol": dict(type=_finite, default=gram.DEFAULT_TOL, help="series tolerance (at least 1e-14)"),
     "samples": dict(
         type=_positive_int, default=gram.QuadratureSpec.samples, help="QMC sample total"
     ),
@@ -335,10 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     command("invariants", cmd_invariants, "exact bundle and group invariants", "input")
 
     p = command("theta-eval", cmd_theta_eval, "evaluate theta[a,b](z | tau)", "tol")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--z", type=float, nargs=2, default=(0.0, 0.0), metavar=("RE", "IM"))
-    p.add_argument("--tau", type=float, nargs=2, default=(0.0, 1.0), metavar=("RE", "IM"))
+    p.add_argument("--a", type=_finite, default=0.0)
+    p.add_argument("--b", type=_finite, default=0.0)
+    p.add_argument("--z", type=_finite, nargs=2, default=(0.0, 0.0), metavar=("RE", "IM"))
+    p.add_argument("--tau", type=_finite, nargs=2, default=(0.0, 1.0), metavar=("RE", "IM"))
 
     p = command("wf-eval", cmd_wf_eval, "evaluate a many-body wave function", "input", "tol")
     p.add_argument("--c", type=int, default=0, help="coset index (lexicographic)")

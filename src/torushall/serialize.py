@@ -13,6 +13,7 @@ and exact rationals as "p/q" strings throughout.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -36,9 +37,9 @@ def pair_to_complex(value: Any, what: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
+        or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in value)
     ):
-        raise SchemaError(f"{what} must be a [re, im] pair, got {value!r}")
+        raise SchemaError(f"{what} must be a [re, im] pair of finite numbers, got {value!r}")
     return complex(value[0], value[1])
 
 

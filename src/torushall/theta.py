@@ -48,6 +48,7 @@ alone can exceed the bound.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -56,7 +57,7 @@ import numpy as np
 
 
 class NonconvergentModulusError(ValueError):
-    """Im(tau) <= 0: the theta series does not converge."""
+    """Im(tau) <= 0 or tau not finite: the theta series does not converge."""
 
 
 class AsymmetricOmegaError(ValueError):
@@ -68,7 +69,7 @@ class ImagNotPositiveDefiniteError(ValueError):
 
 
 class ToleranceTooSmallError(ValueError):
-    """tol below MIN_TOL: rounding in double arithmetic alone can exceed it."""
+    """tol below MIN_TOL, where rounding in double arithmetic alone can exceed it, or not finite."""
 
 
 MIN_TOL = 1e-14
@@ -82,8 +83,8 @@ class TorusParams:
     tau: complex
 
     def __post_init__(self) -> None:
-        if not (self.tau.imag > 0):
-            raise NonconvergentModulusError(f"Im(tau) = {self.tau.imag} must be positive")
+        if not (self.tau.imag > 0 and cmath.isfinite(self.tau)):
+            raise NonconvergentModulusError(f"tau = {self.tau} must be finite with Im(tau) > 0")
 
     @property
     def t(self) -> float:
@@ -177,8 +178,8 @@ def _tail_halfwidth(lambda_min: float, g: int, tol: float) -> int:
 
 def truncation_plan(omega: OmegaMatrix, a, tol: float) -> TruncationPlan:
     """Shared window for Theta[a, .](. | Omega) at tol; a: one characteristic or (d, g)."""
-    if tol < MIN_TOL:
-        raise ToleranceTooSmallError(f"tol = {tol:g} is below the minimum {MIN_TOL:g}")
+    if not MIN_TOL <= tol < math.inf:
+        raise ToleranceTooSmallError(f"tol = {tol:g} must be finite and at least {MIN_TOL:g}")
     g = omega.g
     chars = np.atleast_2d(np.asarray(a, dtype=float))
     if chars.shape[1] != g:

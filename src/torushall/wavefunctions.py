@@ -19,7 +19,10 @@ phi(z) = exp(-pi i tau - 2 pi i z).
 
 The magnetic translations move every coordinate by 1/d (T1) or tau/d (T2);
 on the Phi basis T1 acts diagonally with eigenvalue upsilon(u, c) and T2
-permutes c -> c + u.
+permutes c -> c + u.  All four laws are measured by ``covariance_residual``.
+
+A configuration is an (n,) complex array and a batch of them an (M, n)
+array, each row in layer order: the n_1 coordinates of layer 1 first.
 """
 
 from __future__ import annotations
@@ -37,17 +40,6 @@ from .wen import PiElement, WenDatum, pi_group
 
 class ShapeMismatchError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Particle coordinates grouped by layer; sizes must match the datum."""
-
-    layers: tuple[tuple[complex, ...], ...]
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.layers)
 
 
 @dataclass(frozen=True)
@@ -132,87 +124,63 @@ def phi_values(
     )
 
 
-def configuration_array(configs: Sequence[Configuration]) -> np.ndarray:
-    """The (M, n) coordinates of M configurations, each row in layer order."""
-    return np.array([sum(config.layers, ()) for config in configs], dtype=complex)
+def kvw_wavefunction(spec: WaveFunctionSpec, c: PiElement, config, tol: float = 1e-12) -> complex:
+    """Phi_c = H_c(w) * D at one configuration, an (n,) array in layer order."""
+    z = np.asarray(config, dtype=complex)
+    if z.shape != (spec.datum.n,):
+        raise ShapeMismatchError(f"configuration shape {z.shape} is not ({spec.datum.n},)")
+    return complex(phi_values(spec, (c,), z[None, :], tol)[0, 0])
 
 
-def kvw_wavefunction(
-    spec: WaveFunctionSpec, c: PiElement, config: Configuration, tol: float = 1e-12
-) -> complex:
-    """Phi_c = H_c(w) * D at one configuration."""
-    if config.sizes != spec.datum.n_vec:
-        raise ShapeMismatchError(
-            f"configuration sizes {config.sizes} do not match n = {spec.datum.n_vec}"
-        )
-    return complex(phi_values(spec, (c,), configuration_array([config]), tol)[0, 0])
+def covariance_residual(base, moved, factor=1.0, action=None, delta: int = 1) -> np.ndarray:
+    """Defect of the covariance law  moved = factor * (A base), elementwise.
 
-
-def lattice_shift_factor(spec: WaveFunctionSpec, k, z, direction: str):
-    """Predicted multiplier of Phi_c when z_p^(k) moves by 1 or by tau; k and z may be arrays."""
-    eps = spec.sector_sign()
-    if direction == "1":
-        return complex(eps)
-    if direction == "tau":
-        phi = np.exp(-1j * np.pi * spec.torus.tau - 2j * np.pi * z)
-        xi = np.asarray(spec.xi, dtype=complex)[k]
-        return eps * np.exp(-2j * np.pi * xi) * phi**spec.datum.d
-    raise ValueError("direction must be '1' or 'tau'")
-
-
-def magnetic_translation(spec: WaveFunctionSpec, which: str, z) -> tuple[np.ndarray, np.ndarray]:
-    """T1 or T2 at an (M, n) array z: (T Phi)(z) = factor * Phi(moved).
-
-    Returns (moved, factor).  T1 shifts every coordinate by 1/d with factor
-    1.  T2 shifts every coordinate by tau/d, and its factor is the product of
-    the one-particle prefactors exp((2 pi i xi_k + pi i tau)/d) exp(2 pi i z),
-    which collapses to exp(2 pi i (u, xi) + pi i tau n/d) exp(2 pi i sum z).
+    base holds Phi at z, and moved the transformed function at the same
+    configurations.  The action A = (exponents, permutation), in the form
+    ``translation_action`` returns them, sends row i of base to
+    exp(2 pi i e_i / delta) base[s_i]; None is the identity.  The defect is
+    |lhs - rhs| / max(1, |lhs|, |rhs|), so a NaN value gives a NaN defect.
     """
-    z = np.asarray(z, dtype=complex)
-    d = spec.datum.d
-    if which == "t1":
-        return z + 1.0 / d, np.ones(z.shape[0])
-    if which == "t2":
-        nvec = np.asarray(spec.datum.n_vec, dtype=float)
-        xi = np.asarray(spec.xi, dtype=complex)
-        factor = np.exp(
-            (2j * np.pi * (nvec @ xi) + 1j * np.pi * spec.torus.tau * spec.datum.n) / d
-            + 2j * np.pi * z.sum(axis=1)
-        )
-        return z + spec.torus.tau / d, factor
-    raise ValueError("which must be 't1' or 't2'")
+    if action is not None:
+        exponents, perm = action
+        base = np.array([root_of_unity(e, delta) for e in exponents])[:, None] * base[list(perm)]
+    want = factor * base
+    return np.abs(moved - want) / np.maximum(1.0, np.maximum(np.abs(moved), np.abs(want)))
 
 
 def magnetic_residuals(spec: WaveFunctionSpec, z, tol: float = 1e-12) -> tuple[np.ndarray, ...]:
     """Defects of T1 Phi_c = upsilon(u, c) Phi_c and T2 Phi_c = Phi_{c + u} at an (M, n) array z.
 
-    Returns the T1 and T2 (delta, M) arrays of |lhs - rhs| / max(1, |lhs|, |rhs|)
-    over the cosets c of ``pi_group``; a NaN value gives a NaN residual.
+    (T Phi)(z) = factor * Phi(z + step).  T1 steps every coordinate by 1/d
+    with factor 1.  T2 steps by tau/d, and its factor is the product of the
+    one-particle prefactors exp((2 pi i xi_k + pi i tau)/d) exp(2 pi i z),
+    which collapses to exp(2 pi i (u, xi) + pi i tau n/d) exp(2 pi i sum z).
+    Returns the T1 and T2 (delta, M) arrays of ``covariance_residual`` over
+    the cosets c of ``pi_group``.
     """
-    K = spec.datum.matrix
+    z = np.asarray(z, dtype=complex)
+    K, d, tau = spec.datum.matrix, spec.datum.d, spec.torus.tau
     grp = pi_group(K)
     t1, t2 = translation_action(K, grp.numerators)
-    base = phi_values(spec, grp.elements, z, tol)
-    rhs = (
-        np.array([root_of_unity(e, K.delta) for e in t1])[:, None] * base,
-        base[list(t2)],
+    nvec = np.asarray(spec.datum.n_vec, dtype=float)
+    xi = np.asarray(spec.xi, dtype=complex)
+    t2_factor = np.exp(
+        (2j * np.pi * (nvec @ xi) + 1j * np.pi * tau * spec.datum.n) / d
+        + 2j * np.pi * z.sum(axis=1)
     )
+    base = phi_values(spec, grp.elements, z, tol)
+    rows = ((1.0 / d, 1.0, (t1, range(K.delta))), (tau / d, t2_factor, ((0,) * K.delta, t2)))
     out = []
-    for which, want in zip(("t1", "t2"), rhs):
-        moved, factor = magnetic_translation(spec, which, z)
-        got = factor * phi_values(spec, grp.elements, moved, tol)
-        out.append(np.abs(got - want) / np.maximum(1.0, np.maximum(np.abs(got), np.abs(want))))
+    for step, factor, action in rows:
+        moved = factor * phi_values(spec, grp.elements, z + step, tol)
+        out.append(covariance_residual(base, moved, action=action, delta=K.delta))
     return tuple(out)
 
 
 def magnetic_action_residual(
-    spec: WaveFunctionSpec,
-    c: PiElement,
-    which: str,
-    configs: Sequence[Configuration],
-    tol: float = 1e-12,
+    spec: WaveFunctionSpec, c: PiElement, which: str, configs, tol: float = 1e-12
 ) -> float:
-    """Largest ``magnetic_residuals`` defect of coset c under T1 or T2 over configs.
+    """Largest ``magnetic_residuals`` defect of coset c under T1 or T2 over (M, n) configs.
 
     c is found by its numerator delta c mod delta; a c outside K^{-1}Z^g
     raises ``ValueError``.
@@ -223,14 +191,12 @@ def magnetic_action_residual(
     key = tuple(int(x) % K.delta for x in scaled)
     if any(x.denominator != 1 for x in scaled) or key not in nums:
         raise ValueError(f"c = {tuple(str(x) for x in c)} does not lie in K^-1 Z^g")
-    residuals = magnetic_residuals(spec, configuration_array(configs), tol)
+    residuals = magnetic_residuals(spec, configs, tol)
     return float(np.max(residuals[("t1", "t2").index(which)][nums.index(key)]))
 
 
-def random_configuration(spec: WaveFunctionSpec, rng: np.random.Generator) -> Configuration:
-    """A configuration drawn uniformly from the unit cell: z = x + tau y, x and y in [0, 1)."""
-    layers = []
-    for nk in spec.datum.n_vec:
-        pts = rng.random(nk) + spec.torus.tau * rng.random(nk)
-        layers.append(tuple(complex(z) for z in pts))
-    return Configuration(tuple(layers))
+def random_configuration(spec: WaveFunctionSpec, rng: np.random.Generator) -> np.ndarray:
+    """An (n,) configuration uniform on the unit cell: z = x + tau y; each layer draws x, then y."""
+    return np.concatenate(
+        [rng.random(nk) + spec.torus.tau * rng.random(nk) for nk in spec.datum.n_vec]
+    )

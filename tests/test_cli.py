@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -139,6 +140,56 @@ class TestCli:
         assert status == 2
         captured = capsys.readouterr()
         assert captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv,document,config",
+        [
+            (["verify-all"], {"K": [[3]], "tau": [0, math.inf]}, None),
+            (["gram-center"], {"K": [[3]], "tau": [0, math.inf]}, None),
+            (["verify-all"], {"K": [[3]], "tau": [math.nan, 1]}, None),
+            (["verify-all"], {"K": [[3]], "xi": [[math.nan, 0]]}, None),
+            (["wf-eval"], {"K": [[2]], "n": [1]}, [[[math.nan, 0.1]]]),
+            (["theta-eval", "--z", "nan", "0"], None, None),
+            (["theta-eval", "--tau", "0", "inf"], None, None),
+            (["theta-eval", "--tau", "nan", "1"], None, None),
+            (["theta-eval", "--a", "nan"], None, None),
+            (["theta-eval", "--tol", "nan"], None, None),
+            (["theta-eval", "--tol", "inf"], None, None),
+            (["gram-center", "--tol", "nan"], {"K": [[3]]}, None),
+            (["gram-center", "--tol", "inf"], {"K": [[3]]}, None),
+        ],
+        ids=[
+            "tau-inf-verify-all",
+            "tau-inf-gram-center",
+            "tau-nan",
+            "xi-nan",
+            "config-nan",
+            "theta-z-nan",
+            "theta-tau-inf",
+            "theta-tau-nan",
+            "theta-a-nan",
+            "theta-tol-nan",
+            "theta-tol-inf",
+            "gram-center-tol-nan",
+            "gram-center-tol-inf",
+        ],
+    )
+    def test_non_finite_input_exit_two(self, argv, document, config, tmp_path, capsys):
+        # json reads NaN and Infinity; like a non-finite flag value, they are
+        # refused where they enter, never printed as nan or raised as a traceback
+        argv = list(argv)
+        for flag, value in (("--input", document), ("--config", config)):
+            if value is not None:
+                path = tmp_path / f"{flag[2:]}.json"
+                path.write_text(json.dumps(value))
+                argv += [flag, str(path)]
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad flag value itself
+            status = exc.code
+        assert status == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and captured.out == ""
 
     def test_validate_datum(self, k22_doc, capsys):
         assert main(["validate", "--input", k22_doc]) == 0

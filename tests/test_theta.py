@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +92,14 @@ class TestJacobiTheta:
     def test_rejects_bad_modulus(self):
         with pytest.raises(NonconvergentModulusError):
             jacobi_theta(0, 0, 0, 1.0 - 0.5j)
+
+    def test_rejects_non_finite_modulus_and_tol(self):
+        for tau in (complex(0, math.inf), complex(math.nan, 1)):
+            with pytest.raises(NonconvergentModulusError):
+                jacobi_theta(0, 0, 0, tau)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ToleranceTooSmallError):
+                jacobi_theta(0, 0, 0, 1j, tol=tol)
 
     def test_rejects_too_small_tol(self):
         with pytest.raises(ValueError):

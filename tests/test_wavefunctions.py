@@ -14,17 +14,13 @@ from torushall.theta import (
     theta_odd_batch,
 )
 from torushall.wavefunctions import (
-    Configuration,
     ShapeMismatchError,
     WaveFunctionSpec,
     center_basis_batch,
     center_basis_values,
-    configuration_array,
     jastrow_batch,
     kvw_wavefunction,
-    lattice_shift_factor,
     magnetic_action_residual,
-    magnetic_translation,
     phi_values,
     random_configuration,
 )
@@ -52,17 +48,47 @@ def center_basis(spec, c, w):
     return complex(center_basis_batch(spec, c, np.asarray(w, dtype=complex)[None, :])[0])
 
 
+def layers_of(datum, config):
+    """The (1, n_k) coordinates of each layer of one (n,) configuration."""
+    z = np.asarray(config, dtype=complex)[None, :]
+    return np.split(z, np.cumsum(datum.n_vec)[:-1], axis=1)
+
+
 def jastrow(datum, config):
     """The coincidence factor D at one configuration, on the module's torus."""
-    layers = [np.asarray(layer, dtype=complex)[None, :] for layer in config.layers]
-    return complex(jastrow_batch(datum, TAU, layers)[0])
+    return complex(jastrow_batch(datum, TAU, layers_of(datum, config))[0])
 
 
-def shift_one(config, k, p, step):
+def shift_one(datum, config, k, p, step):
     """The configuration with z_p of layer k moved by step."""
-    layers = [list(layer) for layer in config.layers]
-    layers[k][p] += step
-    return Configuration(tuple(tuple(layer) for layer in layers))
+    moved = np.array(config, dtype=complex)
+    moved[sum(datum.n_vec[:k]) + p] += step
+    return moved
+
+
+def translate(spec, which, z):
+    """T1 or T2 at an (M, n) array z as (moved, factor): (T Phi)(z) = factor * Phi(moved).
+
+    T1 moves every coordinate by 1/d with factor 1; T2 moves it by tau/d with
+    the product of the one-particle factors exp((2 pi i xi_k + pi i tau)/d + 2 pi i z).
+    """
+    z = np.asarray(z, dtype=complex)
+    d = spec.datum.d
+    if which == "t1":
+        return z + 1.0 / d, np.ones(z.shape[0])
+    owner = np.repeat(np.arange(spec.g), spec.datum.n_vec)
+    xi = np.asarray(spec.xi, dtype=complex)[owner]
+    one_particle = np.exp((2j * np.pi * xi + 1j * np.pi * spec.torus.tau) / d + 2j * np.pi * z)
+    return z + spec.torus.tau / d, np.prod(one_particle, axis=1)
+
+
+def shift_factor(spec, k, z, step):
+    """The predicted multiplier of Phi_c when z = z_p^(k) moves by 1 or by tau."""
+    eps = spec.sector_sign()
+    if step == 1.0:
+        return eps
+    phi = np.exp(-1j * np.pi * spec.torus.tau - 2j * np.pi * z)
+    return eps * np.exp(-2j * np.pi * spec.xi[k]) * phi**spec.datum.d
 
 
 def single_layer_reference(m, xi, tau, j, zs):
@@ -147,7 +173,7 @@ class TestJastrow:
         K = validate_wen_matrix([[2]])
         datum = validate_wen_datum(K, (3,))
         z = 0.3 + 0.1j
-        config = Configuration(((z, z, 0.7 - 0.2j),))
+        config = [z, z, 0.7 - 0.2j]
         assert abs(jastrow(datum, config)) < 1e-12
 
     def test_single_layer_matches_direct_product(self, rng):
@@ -155,7 +181,7 @@ class TestJastrow:
         K = validate_wen_matrix([[m]])
         datum = validate_wen_datum(K, (n,))
         zs = rng.uniform(-0.5, 0.5, size=n) + 1j * rng.uniform(-0.3, 0.3, size=n)
-        config = Configuration((tuple(zs),))
+        config = zs
         want = 1.0 + 0j
         for p in range(n):
             for q in range(p + 1, n):
@@ -168,15 +194,15 @@ class TestJastrow:
             datum = validate_wen_datum(K, (2,))
             z1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
             z2 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
-            plain = jastrow(datum, Configuration(((z1, z2),)))
-            swapped = jastrow(datum, Configuration(((z2, z1),)))
+            plain = jastrow(datum, [z1, z2])
+            swapped = jastrow(datum, [z2, z1])
             assert _residual(swapped, (-1.0) ** m * plain) < 1e-12
 
     def test_shape_mismatch(self):
         spec = _spec([[2]], (2,), (0j,))
         c = pi_group(spec.datum.matrix).elements[0]
         with pytest.raises(ShapeMismatchError):
-            kvw_wavefunction(spec, c, Configuration(((0.1 + 0j,),)))
+            kvw_wavefunction(spec, c, [0.1 + 0j])
 
 
 class TestKvwWavefunction:
@@ -187,7 +213,7 @@ class TestKvwWavefunction:
         for j, c in enumerate(grp.elements, start=1):
             config = random_configuration(spec, rng)
             got = kvw_wavefunction(spec, c, config)
-            want = single_layer_reference(m, spec.xi[0], spec.torus, j, config.layers[0])
+            want = single_layer_reference(m, spec.xi[0], spec.torus, j, config)
             assert _residual(got, want) < 1e-12
 
     def test_factorizes_exactly(self, rng):
@@ -195,7 +221,7 @@ class TestKvwWavefunction:
         c = pi_group(spec.datum.matrix).elements[1]
         config = random_configuration(spec, rng)
         whole = kvw_wavefunction(spec, c, config)
-        w = [sum(layer) for layer in config.layers]
+        w = [layer.sum() for layer in layers_of(spec.datum, config)]
         parts = center_basis(spec, c, w) * jastrow(spec.datum, config)
         assert abs(whole - parts) <= 1e-12 * max(1.0, abs(whole))
 
@@ -212,11 +238,10 @@ class TestKvwWavefunction:
             k = int(rng.integers(0, len(nvec)))
             p = int(rng.integers(0, nvec[k]))
             base = kvw_wavefunction(spec, c, config)
-            z = config.layers[k][p]
-            got = kvw_wavefunction(spec, c, shift_one(config, k, p, 1.0))
-            assert _residual(got, lattice_shift_factor(spec, k, z, "1") * base) < 1e-9
-            got = kvw_wavefunction(spec, c, shift_one(config, k, p, spec.torus.tau))
-            assert _residual(got, lattice_shift_factor(spec, k, z, "tau") * base) < 1e-9
+            z = layers_of(spec.datum, config)[k][0, p]
+            for step in (1.0, spec.torus.tau):
+                got = kvw_wavefunction(spec, c, shift_one(spec.datum, config, k, p, step))
+                assert _residual(got, shift_factor(spec, k, z, step) * base) < 1e-9
 
     def test_sector_signs(self):
         # even diagonal: sign (-1)^d; odd diagonal: -(-1)^d
@@ -228,7 +253,7 @@ class TestKvwWavefunction:
     def test_vanishes_on_coupled_diagonal(self, rng):
         spec = _spec([[2, 1], [1, 2]], (1, 1), (0.1j, 0.05))
         z = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
-        config = Configuration(((z,), (z,)))
+        config = [z, z]
         for c in pi_group(spec.datum.matrix).elements:
             assert abs(kvw_wavefunction(spec, c, config)) < 1e-10
 
@@ -240,7 +265,7 @@ class TestHaldaneRezayi:
     def _phi(m, xi, j, zs):
         spec = _spec([[m]], (len(zs),), (xi,))
         c = pi_group(spec.datum.matrix).elements[j - 1]
-        return kvw_wavefunction(spec, c, Configuration((tuple(complex(z) for z in zs),)))
+        return kvw_wavefunction(spec, c, zs)
 
     def test_symmetry_by_parity(self, rng):
         xi = 0.2 - 0.1j
@@ -278,7 +303,7 @@ class TestMagneticAction:
             for _ in range(5):
                 config = random_configuration(spec, rng)
                 base = kvw_wavefunction(spec, c, config)
-                moved, factor = magnetic_translation(spec, "t1", configuration_array([config]))
+                moved, factor = translate(spec, "t1", config[None, :])
                 ratios.append(factor[0] * phi_values(spec, (c,), moved)[0, 0] / base)
             assert np.std(ratios) < 1e-9
             assert abs(np.mean(ratios) - upsilon(u, c, K)) < 1e-9
@@ -286,7 +311,7 @@ class TestMagneticAction:
     def test_residuals_single_layer(self, rng):
         spec = _spec([[2]], (2,), (0.3 - 0.1j,), tau=TorusParams(1j))
         grp = pi_group(spec.datum.matrix)
-        configs = [random_configuration(spec, rng) for _ in range(20)]
+        configs = np.array([random_configuration(spec, rng) for _ in range(20)])
         for c in grp.elements:
             assert magnetic_action_residual(spec, c, "t1", configs) < 1e-9
             assert magnetic_action_residual(spec, c, "t2", configs) < 1e-9
@@ -294,7 +319,7 @@ class TestMagneticAction:
     def test_residuals_two_layer(self, rng):
         spec = _spec([[2, 1], [1, 2]], (1, 1), (0.1 + 0.2j, -0.05 + 0.1j))
         grp = pi_group(spec.datum.matrix)
-        configs = [random_configuration(spec, rng) for _ in range(10)]
+        configs = np.array([random_configuration(spec, rng) for _ in range(10)])
         for c in grp.elements:
             assert magnetic_action_residual(spec, c, "t1", configs) < 1e-9
             assert magnetic_action_residual(spec, c, "t2", configs) < 1e-9
@@ -312,7 +337,7 @@ class TestMagneticAction:
     def test_residual_rejects_c_outside_lattice(self, rng, rows, n_vec, c):
         spec = _spec(rows, n_vec, (0.1j,) * len(n_vec))
         with pytest.raises(ValueError, match="does not lie in"):
-            magnetic_action_residual(spec, c, "t1", [random_configuration(spec, rng)])
+            magnetic_action_residual(spec, c, "t1", random_configuration(spec, rng)[None, :])
 
     def test_t1_fixes_invariant_vector(self, rng):
         # c = 0 pairs trivially with u, so T1 has eigenvalue 1 there
@@ -320,7 +345,7 @@ class TestMagneticAction:
         zero = pi_group(spec.datum.matrix).elements[0]
         config = random_configuration(spec, rng)
         base = kvw_wavefunction(spec, zero, config)
-        moved, factor = magnetic_translation(spec, "t1", configuration_array([config]))
+        moved, factor = translate(spec, "t1", config[None, :])
         assert _residual(factor[0] * phi_values(spec, (zero,), moved)[0, 0], base) < 1e-10
 
     def test_t2_orbit_cycles(self, rng):
@@ -332,13 +357,13 @@ class TestMagneticAction:
         c = pi_group(K).elements[1]
         # T2^j Phi_c(z) is the product of the T2 factors along z, z + tau/d, ...
         # times Phi_c at z + j tau/d
-        moved, factor = configuration_array([config]), np.ones(1)
+        moved, factor = config[None, :], np.ones(1)
 
         # intermediate steps hit Phi_{c + j u}
         expect_c = c
         for j in range(1, K.delta + 1):
             expect_c = pi_add(expect_c, u)
-            moved, step = magnetic_translation(spec, "t2", moved)
+            moved, step = translate(spec, "t2", moved)
             factor = factor * step
             got = factor[0] * phi_values(spec, (c,), moved)[0, 0]
             want = kvw_wavefunction(spec, expect_c, config)
@@ -382,8 +407,8 @@ class TestBatchedEvaluation:
     def test_phi_values_match_scalar_wavefunction(self, kmat, nvec, xi, tau, rng):
         spec = _spec(kmat, nvec, xi, tau)
         cs = pi_group(spec.datum.matrix).elements
-        configs = [random_configuration(spec, rng) for _ in range(50)]
-        got = phi_values(spec, cs, configuration_array(configs))
+        configs = np.array([random_configuration(spec, rng) for _ in range(50)])
+        got = phi_values(spec, cs, configs)
         assert got.shape == (len(cs), 50)
         for j, config in enumerate(configs):
             for i, c in enumerate(cs):
@@ -419,7 +444,8 @@ class TestBatchedEvaluation:
                 records = run(spec, seed=1, samples=samples)
                 assert [r["verdict"] for r in records] == ["PASS", "PASS"]
                 counts.add(len(calls))
-        assert len(counts) == 1, counts
+        # Phi(z) and the two moved Phi: one center sum and one odd-theta call each
+        assert counts == {6}, counts
 
 
 class TestUnitCellChecks:
@@ -452,3 +478,40 @@ class TestUnitCellChecks:
             "magnetic.t2_shift",
         ]
         assert all(r["verdict"] == "FAIL" and np.isnan(r["measured"]) for r in records)
+
+    @pytest.mark.parametrize(
+        "mutant, failing",
+        [
+            ("t2-inverse", ["magnetic.t2_shift"]),
+            ("t1-negated", ["magnetic.t1_eigenvalue"]),
+            ("sign-flipped", ["wavefn.shift_one", "wavefn.shift_tau"]),
+        ],
+        ids=["t2-inverse", "t1-negated", "sign-flipped"],
+    )
+    def test_wrong_law_fails_its_records(self, mutant, failing, monkeypatch):
+        # a wrong T2 permutation, T1 exponent or sector sign fails exactly its
+        # own records on the README datum, by an O(1) defect
+        from torushall import wavefunctions
+
+        action = wavefunctions.translation_action
+        sign = WaveFunctionSpec.sector_sign
+
+        def t2_inverse(K, numerators):
+            t1, t2 = action(K, numerators)
+            return t1, tuple(int(i) for i in np.argsort(t2))
+
+        def t1_negated(K, numerators):
+            t1, t2 = action(K, numerators)
+            return tuple(-e for e in t1), t2
+
+        if mutant == "sign-flipped":
+            monkeypatch.setattr(WaveFunctionSpec, "sector_sign", lambda spec: -sign(spec))
+        else:
+            patched = {"t2-inverse": t2_inverse, "t1-negated": t1_negated}[mutant]
+            monkeypatch.setattr(wavefunctions, "translation_action", patched)
+        spec = _spec([[3, 2], [2, 3]], (1, 1), (0.1 + 0.2j, 0j), tau=TorusParams(1j))
+        records = checks.check_kvw_quasi_periodicity(spec) + checks.check_magnetic_action(
+            spec, samples=6
+        )
+        assert [r["name"] for r in records if r["verdict"] == "FAIL"] == failing
+        assert all(r["measured"] > 0.1 for r in records if r["name"] in failing), records
