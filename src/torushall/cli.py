@@ -6,7 +6,8 @@ canonical schema of :mod:`torushall.serialize`; all numeric output is
 deterministic for a fixed configuration and seed.  Every check record is
 built by :mod:`torushall.checks`.  Exit status: 0 when every reported check
 passes, 1 when any check fails, 2 on input errors, on a series tolerance
-below theta.MIN_TOL and on quadrature sizes over the sampling budget.
+below theta.MIN_TOL, on quadrature sizes over the sampling budget and on a
+value that leaves double range.
 """
 
 from __future__ import annotations
@@ -32,6 +33,18 @@ from .serialize import (
 from .theta import NonconvergentModulusError, TorusParams, ToleranceTooSmallError, jacobi_theta
 
 SCHEMA_VERSION = 1
+
+
+class NonFiniteValueError(ArithmeticError):
+    """A value computed from finite input is not finite in double precision."""
+
+
+def _finite_value(evaluate, *args) -> complex:
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = evaluate(*args)
+    if not np.isfinite(val):
+        raise NonFiniteValueError(f"the value {complex_to_pair(val)} is not finite")
+    return val
 
 
 def _default_n(K: wen.WenMatrix) -> tuple[int, ...]:
@@ -120,7 +133,8 @@ def cmd_invariants(args) -> int:
     ]
     if inv.jain_params:
         p, g = inv.jain_params
-        lines.append(f"standard family (p={p}, g={g}); filling fraction {bundles.jain_fraction(p, g)}")
+        frac = bundles.jain_fraction(p, g)
+        lines.append(f"standard family (p={p}, g={g}); filling fraction {frac}")
     payload = {
         "command": "invariants",
         "delta": K.delta,
@@ -144,7 +158,7 @@ def cmd_invariants(args) -> int:
 def cmd_theta_eval(args) -> int:
     tau = TorusParams(complex(args.tau[0], args.tau[1]))
     z = complex(args.z[0], args.z[1])
-    val = jacobi_theta(args.a, args.b, z, tau, args.tol)
+    val = _finite_value(jacobi_theta, args.a, args.b, z, tau, args.tol)
     payload = {
         "command": "theta-eval",
         "value": complex_to_pair(val),
@@ -183,7 +197,7 @@ def cmd_wf_eval(args) -> int:
         raise SchemaError(f"--c must index a coset in 0..{len(grp) - 1}")
     c = grp.elements[args.c]
     config = _load_config(args.config, datum)
-    val = wavefunctions.kvw_wavefunction(spec, c, config, args.tol)
+    val = _finite_value(wavefunctions.kvw_wavefunction, spec, c, config, args.tol)
     payload = {
         "command": "wf-eval",
         "c": [str(x) for x in c],
@@ -373,6 +387,7 @@ def main(argv=None) -> int:
         NonconvergentModulusError,
         ToleranceTooSmallError,
         gram.SamplingBudgetExceededError,
+        NonFiniteValueError,
         OSError,
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

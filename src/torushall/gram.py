@@ -317,39 +317,55 @@ def _gram_center_at(
     return gmat
 
 
-def _report_stats(gmat: np.ndarray):
-    d = gmat.shape[0]
+def _report(
+    cs: Sequence[PiElement], points: int, gmat=None, bound=None, kappa=None, stack=None, seed=None
+) -> GramReport:
+    """Report of a midpoint Gram ``gmat`` with its aliasing bound, or of QMC replicates.
+
+    ``gmat`` is reported exactly as formed; the QMC Gram is the mean of the
+    replicates in ``stack``, with replicate-mean standard errors and sigmas.
+    """
+    d = len(cs)
+    sigmas = {}
+    if stack is None:
+        stderr = np.zeros_like(gmat, dtype=float)
+    else:
+        reps = stack.shape[0]
+        gmat = stack.mean(axis=0)
+        se_re = np.std(stack.real, axis=0, ddof=1) / math.sqrt(reps)
+        se_im = np.std(stack.imag, axis=0, ddof=1) / math.sqrt(reps)
+        stderr = np.sqrt(se_re**2 + se_im**2)
+        entry = np.maximum(
+            np.abs(gmat.real) / np.maximum(se_re, 1e-300),
+            np.abs(gmat.imag) / np.maximum(se_im, 1e-300),
+        )
+        i, j = np.triu_indices(d, 1)
+        diffs = np.ascontiguousarray((stack[:, i, i].real - stack[:, j, j].real).T)
+        se = np.std(diffs, axis=1, ddof=1) / math.sqrt(reps)
+        pair = np.abs(np.mean(diffs, axis=1)) / np.maximum(se, 1e-300)
+        # numpy maxima, so that a NaN estimate gives a NaN statistic, not 0
+        sigmas = dict(
+            offdiag_sigmas=float(np.max(entry[~np.eye(d, dtype=bool)], initial=0.0)),
+            diag_pair_sigmas=float(np.max(pair, initial=0.0)),
+        )
     diag = np.real(np.diag(gmat))
     mean_diag = float(np.mean(diag))
-    off = gmat - np.diag(np.diag(gmat))
-    offdiag = float(np.max(np.abs(off))) if d > 1 else 0.0
+    offdiag = float(np.max(np.abs(gmat - np.diag(np.diag(gmat))))) if d > 1 else 0.0
     spread = float(diag.max() - diag.min()) if d > 1 else 0.0
-    herm = float(np.max(np.abs(gmat - gmat.conj().T)))
-    return mean_diag, offdiag / mean_diag, spread / mean_diag, herm
-
-
-def _labels(cs: Sequence[PiElement]) -> tuple[str, ...]:
-    return tuple("(" + ", ".join(str(x) for x in c) + ")" for c in cs)
-
-
-def _trapezoid_report(
-    gmat: np.ndarray, points: int, bound: float, cs: Sequence[PiElement], kappa=None
-) -> GramReport:
-    """Report of a midpoint-rule Gram formed on ``points`` nodes, with its aliasing bound."""
-    mean_diag, offratio, spread, herm = _report_stats(gmat)
     return GramReport(
         matrix=gmat,
-        stderr=np.zeros_like(gmat, dtype=float),
-        basis_labels=_labels(cs),
-        scheme="trapezoid",
+        stderr=stderr,
+        basis_labels=tuple("(" + ", ".join(str(x) for x in c) + ")" for c in cs),
+        scheme="trapezoid" if stack is None else "qmc",
         total_points=points,
-        seed=None,
+        seed=seed,
         kappa_ref=kappa,
-        offdiag_ratio=offratio,
-        diag_spread=spread,
+        offdiag_ratio=offdiag / mean_diag,
+        diag_spread=spread / mean_diag,
         kappa_rel_err=None if kappa is None else float(abs(mean_diag / kappa - 1.0)),
-        hermiticity=herm,
+        hermiticity=float(np.max(np.abs(gmat - gmat.conj().T))),
         aliasing_bound=bound,
+        **sigmas,
     )
 
 
@@ -381,10 +397,8 @@ def gram_center(
         raise SamplingBudgetExceededError(
             f"{formed} term x height-node entries at p = {p} exceed the budget {DEFAULT_BUDGET}"
         )
-    return _trapezoid_report(
-        _gram_center_at(K, xi, tp, cs, terms, p),
-        p ** (2 * K.g), bound, cs, kappa_closed_form(K, xi, tp),
-    )
+    gmat = _gram_center_at(K, xi, tp, cs, terms, p)
+    return _report(cs, p ** (2 * K.g), gmat, bound, kappa_closed_form(K, xi, tp))
 
 
 # ---------------------------------------------------------------------------
@@ -409,35 +423,12 @@ def _manybody_values(
     return weight, phi_values(spec, basis, pts[:, :n] + spec.torus.tau * ys, tol)
 
 
-def gram_manybody(
-    spec: WaveFunctionSpec,
-    quad: QuadratureSpec | None = None,
-    tol: float = DEFAULT_TOL,
-) -> GramReport:
-    """Gram matrix of ``heisenberg.rep_matrices``'s basis under the product metric.
-
-    The midpoint rule at the center rule's a-priori p for the form d I_n
-    (``_gram_manybody_trapezoid``), or replicated scrambled Sobol sampling
-    with replicate-mean standard errors and sigma-normalized scalarness
-    checks.  The verdict ``scalar_pass`` comes from the many-body
-    records of :mod:`torushall.checks`; it is only set for primary matrices,
-    for others the deviations are reported without a verdict.
-    """
-    quad = quad or QuadratureSpec()
-    basis = rep_matrices(spec.datum).basis
-    scheme = quad.scheme
-    if scheme == "auto":
-        scheme = "trapezoid" if spec.datum.n <= 2 else "qmc"
-    if scheme == "trapezoid":
-        report = _gram_manybody_trapezoid(spec, basis, tol)
-    else:
-        report = _gram_manybody_qmc(spec, quad, basis, tol)
-    if spec.datum.matrix.primary:
-        from .checks import gram_manybody_records, passed  # checks imports this module
-
-        report.records = gram_manybody_records(report)
-        report.scalar_pass = passed(report.records)
-    return report
+def _weighted_sum(
+    spec: WaveFunctionSpec, pts: np.ndarray, basis: Sequence[PiElement], tol: float
+) -> np.ndarray:
+    """Sum over the points of h Phi_i conj(Phi_j), the one reduction of both rules."""
+    weight, values = _manybody_values(spec, pts, basis, tol)
+    return (values * weight[None, :]) @ values.conj().T
 
 
 def _gram_manybody_at(
@@ -452,84 +443,52 @@ def _gram_manybody_at(
     for start in range(0, total, step):
         idx = np.arange(start, min(start + step, total))
         pts = nodes[np.stack(np.unravel_index(idx, (p,) * dim), axis=-1)]
-        weight, values = _manybody_values(spec, pts, basis, tol)
-        gmat += (values * weight[None, :]) @ values.conj().T
+        gmat += _weighted_sum(spec, pts, basis, tol)
     return gmat / total
 
 
-def _gram_manybody_trapezoid(
-    spec: WaveFunctionSpec, basis: Sequence[PiElement], tol: float
+def gram_manybody(
+    spec: WaveFunctionSpec,
+    quad: QuadratureSpec | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> GramReport:
-    """Many-body Gram by the midpoint rule at the a-priori p of the form d I_n.
+    """Gram matrix of ``heisenberg.rep_matrices``'s basis under the product metric.
 
-    p and its aliasing bound come from ``_rule_points`` at the form d I_n
-    and the modulus d (see the module docstring), as the center Gram's come
-    from K and delta.  The Gram is formed once, on the p^{2n} grid, which
-    is held to DEFAULT_BUDGET before it is formed.
+    'trapezoid' is the midpoint rule whose p and aliasing bound come from
+    ``_rule_points`` at the form d I_n and the modulus d, as the center
+    Gram's come from K and delta; it is formed once, on the p^{2n} grid,
+    held to DEFAULT_BUDGET first.  'qmc' averages ``quad.replicates``
+    scrambled Sobol streams of a power-of-two size, about ``quad.samples``
+    points in all, with replicate-mean standard errors and sigmas.  The
+    verdict ``scalar_pass`` comes from the records of :mod:`torushall.checks`
+    and is set for primary matrices only.
     """
+    quad = quad or QuadratureSpec()
+    basis = rep_matrices(spec.datum).basis
     n, d = spec.datum.n, spec.datum.d
-    p, bound = _rule_points(d * np.eye(n), d, spec.torus.t, tol)
-    if p ** (2 * n) > DEFAULT_BUDGET:
-        raise SamplingBudgetExceededError(
-            f"the many-body Gram needs {p}^{2 * n} points, over the budget {DEFAULT_BUDGET}"
-        )
-    return _trapezoid_report(
-        _gram_manybody_at(spec, basis, p, tol), p ** (2 * n), bound, basis
-    )
+    if quad.scheme == "trapezoid" or (quad.scheme == "auto" and n <= 2):
+        p, bound = _rule_points(d * np.eye(n), d, spec.torus.t, tol)
+        if p ** (2 * n) > DEFAULT_BUDGET:
+            raise SamplingBudgetExceededError(
+                f"the many-body Gram needs {p}^{2 * n} points, over the budget {DEFAULT_BUDGET}"
+            )
+        report = _report(basis, p ** (2 * n), _gram_manybody_at(spec, basis, p, tol), bound)
+    else:
+        reps = quad.replicates
+        per_rep = 1 << max(1, math.ceil(math.log2(max(2, quad.samples // reps))))
+        if per_rep * reps > DEFAULT_BUDGET:
+            raise SamplingBudgetExceededError(
+                f"{per_rep} x {reps} QMC samples exceed budget {DEFAULT_BUDGET}"
+            )
+        stack = []
+        for seq in np.random.SeedSequence(quad.seed).spawn(reps):
+            sob = qmc.Sobol(d=2 * n, scramble=True, seed=np.random.default_rng(seq))
+            pts = sob.random_base2(int(math.log2(per_rep)))
+            stack.append(_weighted_sum(spec, pts, basis, tol) / pts.shape[0])
+        report = _report(basis, per_rep * reps, stack=np.stack(stack), seed=quad.seed)
+    if spec.datum.matrix.primary:
+        from .checks import gram_manybody_records, passed  # checks imports this module
 
-
-def _gram_manybody_qmc(
-    spec: WaveFunctionSpec, quad: QuadratureSpec, basis: Sequence[PiElement], tol: float
-) -> GramReport:
-    d = len(basis)
-    dim = 2 * spec.datum.n
-    reps = quad.replicates
-    per_rep = 1 << max(1, math.ceil(math.log2(max(2, quad.samples // reps))))
-    if per_rep * reps > DEFAULT_BUDGET:
-        raise SamplingBudgetExceededError(
-            f"{per_rep} x {reps} QMC samples exceed budget {DEFAULT_BUDGET}"
-        )
-    seeds = np.random.SeedSequence(quad.seed).spawn(reps)
-    samples_g = []
-    for seq in seeds:
-        sob = qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng(seq))
-        pts = sob.random_base2(int(math.log2(per_rep)))
-        weight, values = _manybody_values(spec, pts, basis, tol)
-        samples_g.append((values * weight[None, :]) @ values.conj().T / pts.shape[0])
-    stack = np.stack(samples_g, axis=0)
-    gmat = stack.mean(axis=0)
-    se_re = np.std(stack.real, axis=0, ddof=1) / math.sqrt(reps)
-    se_im = np.std(stack.imag, axis=0, ddof=1) / math.sqrt(reps)
-    stderr = np.sqrt(se_re**2 + se_im**2)
-    mean_diag, offratio, spread, herm = _report_stats(gmat)
-
-    # numpy maxima, so that a NaN estimate gives a NaN statistic, not 0
-    off = ~np.eye(d, dtype=bool)
-    offdiag_sigmas = np.max(
-        np.maximum(
-            np.abs(gmat.real) / np.maximum(se_re, 1e-300),
-            np.abs(gmat.imag) / np.maximum(se_im, 1e-300),
-        )[off],
-        initial=0.0,
-    )
-    i, j = np.triu_indices(d, 1)
-    diffs = np.ascontiguousarray((stack[:, i, i].real - stack[:, j, j].real).T)
-    se = np.std(diffs, axis=1, ddof=1) / math.sqrt(reps)
-    diag_pair_sigmas = np.max(
-        np.abs(np.mean(diffs, axis=1)) / np.maximum(se, 1e-300), initial=0.0
-    )
-    return GramReport(
-        matrix=gmat,
-        stderr=stderr,
-        basis_labels=_labels(basis),
-        scheme="qmc",
-        total_points=per_rep * reps,
-        seed=quad.seed,
-        kappa_ref=None,
-        offdiag_ratio=offratio,
-        diag_spread=spread,
-        kappa_rel_err=None,
-        hermiticity=herm,
-        offdiag_sigmas=float(offdiag_sigmas),
-        diag_pair_sigmas=float(diag_pair_sigmas),
-    )
+        report.records = gram_manybody_records(report)
+        report.scalar_pass = passed(report.records)
+    return report

@@ -7,9 +7,11 @@ n satisfying K n = d e it forms a Wen datum.  This module validates such
 data and computes their invariants exactly:
 
 * delta = det K and the adjugate matrix Ksharp with K Ksharp = delta I,
+  both from the one fraction-free elimination of [K | I] that also gives
+  the leading principal minors,
 * rho = sum of adjugate entries, the statistics sign, u = K^{-1} e,
 * the finite group Pi = K^{-1}Z^g / Z^g of order delta, enumerated through
-  the Smith normal form of K.
+  the Smith normal form of K, which gives only Pi and its invariant factors.
 
 Everything here runs on Python integers and ``fractions.Fraction``; no
 floating point enters this module, so all equalities asserted by callers
@@ -83,48 +85,33 @@ def _as_int_matrix(mat: Sequence[Sequence[int]]) -> IntMatrix:
     return rows
 
 
-def det_int(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    a = [list(map(int, row)) for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
-
-
-def adjugate_int(mat: Sequence[Sequence[int]]) -> IntMatrix:
-    """Exact adjugate: adj[i][j] = (-1)^{i+j} det(minor(j, i))."""
-    rows = _as_int_matrix(mat)
-    n = len(rows)
-    if n == 1:
-        return ((1,),)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * det_int(minor)
-    return tuple(tuple(row) for row in adj)
-
-
 def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _bareiss(rows: IntMatrix) -> tuple[int, IntMatrix]:
+    """delta = det K and Ksharp, by one fraction-free Gauss-Jordan pass on [K | I].
+
+    Bareiss's elimination (Math. Comp. 22, 1968) without pivoting: the k-th
+    pivot is the leading principal minor of order k, and the first that is
+    not positive raises NotPositiveDefiniteError.  Every division is exact,
+    and [K | I] ends as [delta I | Ksharp], so the last pivot is delta.
+    """
+    g = len(rows)
+    a = [list(row) + e for row, e in zip(rows, _identity(g))]
+    prev = 1
+    for k in range(g):
+        pivot, pivot_row = a[k][k], a[k]
+        if pivot <= 0:
+            raise NotPositiveDefiniteError(
+                f"leading principal minor of order {k + 1} is not positive"
+            )
+        for i in range(g):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+    return prev, tuple(tuple(row[g:]) for row in a)
 
 
 def smith_normal_form(
@@ -310,20 +297,13 @@ def validate_wen_matrix(mat: Sequence[Sequence[int]]) -> WenMatrix:
                 raise NotSymmetricError(
                     f"entry ({i},{j})={rows[i][j]} differs from ({j},{i})={rows[j][i]}"
                 )
-    for k in range(1, g + 1):
-        minor = [row[:k] for row in rows[:k]]
-        if det_int(minor) <= 0:
-            raise NotPositiveDefiniteError(
-                f"leading principal minor of order {k} is not positive"
-            )
+    delta, adj = _bareiss(rows)
     parities = {rows[i][i] % 2 for i in range(g)}
     if len(parities) != 1:
         raise MixedParityError(
             "diagonal entries must be all even or all odd, got "
             + str([rows[i][i] for i in range(g)])
         )
-    delta = det_int(rows)
-    adj = adjugate_int(rows)
     u = tuple(Fraction(sum(adj[i][j] for j in range(g)), delta) for i in range(g))
     if any(x <= 0 for x in u):
         raise NonPositiveUError(f"K^-1 e = {[str(x) for x in u]} has a non-positive entry")

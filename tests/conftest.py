@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from torushall.heisenberg import pairing_exponents, root_of_unity
 from torushall.wen import (
     PiGroup,
     WenMatrix,
     WenValidationError,
-    adjugate_int,
-    det_int,
     smith_normal_form,
     validate_wen_matrix,
 )
@@ -70,10 +69,11 @@ def coset_index(grp: PiGroup, c) -> int:
 
 def unimodular_inverse(mat):
     """Exact inverse of a matrix with determinant +-1."""
-    d = det_int(mat)
+    m = sympy.Matrix(mat)
+    d = m.det()
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det={d})")
-    return tuple(tuple(d * x for x in row) for row in adjugate_int(mat))
+    return tuple(tuple(int(d * x) for x in row) for row in m.adjugate().tolist())
 
 
 def pi_add(x, y):

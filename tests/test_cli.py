@@ -191,6 +191,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert "finite" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (["theta-eval", "--z", "0", "300", "--tau", "0", "1"], None),
+            (["wf-eval"], [[[0.1, 200]], [[0.35, 0.6]]]),
+        ],
+        ids=["theta-inf", "wf-nan"],
+    )
+    def test_non_finite_value_exit_two(self, argv, config, readme_doc, tmp_path, capsys):
+        # finite input whose value leaves double range: a named error, not a printed nan
+        argv = list(argv)
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv += ["--input", readme_doc, "--config", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "NonFiniteValueError" in captured.err
+
     def test_validate_datum(self, k22_doc, capsys):
         assert main(["validate", "--input", k22_doc]) == 0
         out = capsys.readouterr().out

@@ -329,6 +329,21 @@ class TestGramCenter:
         assert failed == ["gram.center_scalar"]
         assert report.diag_spread > 1e-2
 
+    def test_report_keeps_formed_gram(self):
+        # the report carries the Gram exactly as formed, down to the -0.0
+        # imaginary parts that this K's off-diagonal entries have
+        from torushall import gram
+
+        K = validate_wen_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+        tp = TorusParams(1j)
+        xi = (0j,) * 3
+        report = gram_center(K, xi, tp)
+        cs = pi_group(K).elements
+        p, _ = gram._rule_points(K.entries, K.delta, tp.t, 1e-12)
+        formed = gram._gram_center_at(K, xi, tp, cs, gram._center_terms(K, xi, tp, cs, 1e-12), p)
+        assert np.signbit(formed.imag).any()
+        assert report.matrix.tobytes() == formed.tobytes()
+
     def test_aliasing_bound_small(self):
         K = validate_wen_matrix([[2]])
         report = gram_center(K, (0j,), TorusParams(1j))

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 
 from conftest import pi_add, random_wen_matrix, u_order, unimodular_inverse
 from torushall.wen import (
@@ -11,7 +12,6 @@ from torushall.wen import (
     NotEigenvectorError,
     NotPositiveDefiniteError,
     NotSymmetricError,
-    det_int,
     jain_matrix,
     pi_group,
     smith_normal_form,
@@ -49,6 +49,24 @@ class TestValidate:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             validate_wen_matrix([[1, 3], [3, 1]])
+
+    @pytest.mark.parametrize(
+        "rows,order",
+        [
+            ([[0, 1], [1, 3]], 1),
+            ([[1, 3], [3, 1]], 2),
+            ([[1, 1], [1, 1]], 2),
+            ([[2, 1, 2], [1, 2, 1], [2, 1, 2]], 3),
+            ([[1, 1, 1], [1, 2, 0], [1, 0, 1]], 3),
+        ],
+    )
+    def test_not_positive_definite_names_order(self, rows, order):
+        # the first leading principal minor that is zero or negative
+        with pytest.raises(
+            NotPositiveDefiniteError,
+            match=rf"^leading principal minor of order {order} is not positive$",
+        ):
+            validate_wen_matrix(rows)
 
     def test_nonpositive_u_rejected(self):
         # positive definite, odd diagonal, but K^{-1}e = (4, -1)
@@ -101,6 +119,13 @@ class TestAdjugate:
     def test_twice_identity(self):
         K = validate_wen_matrix([[2, 0], [0, 2]])
         assert K.adjugate == ((2, 0), (0, 2))
+
+    def test_matches_sympy(self, rng):
+        for _ in range(200):
+            K = random_wen_matrix(rng, gmax=5)
+            m = sympy.Matrix(K.entries)
+            assert K.delta == m.det()
+            assert [list(row) for row in K.adjugate] == m.adjugate().tolist()
 
     def test_product_identity_random(self, rng):
         for _ in range(25):
@@ -209,10 +234,10 @@ class TestSmithNormalForm:
         for _ in range(30):
             n = int(rng.integers(1, 5))
             mat = [[int(rng.integers(-5, 6)) for _ in range(n)] for _ in range(n)]
-            if det_int(mat) == 0:
+            if sympy.Matrix(mat).det() == 0:
                 continue
             diag, s, t = smith_normal_form(mat)
-            assert abs(det_int(s)) == 1 and abs(det_int(t)) == 1
+            assert abs(sympy.Matrix(s).det()) == 1 and abs(sympy.Matrix(t).det()) == 1
             prod = [
                 [
                     sum(
