@@ -13,6 +13,7 @@ value that leaves double range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -331,7 +332,9 @@ FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="torushall",
         description="Verification suite for multilayer torus Hall states",

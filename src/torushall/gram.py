@@ -237,23 +237,20 @@ def _center_terms(
 
     Each lattice term of H_c = Theta[c,0](K(x + tau y) + xi | tau K) is
     C_k exp(2 pi i m_k.x) exp(2 pi i tau m_k.y) with the integer frequency
-    m_k = K(k + c); the window covers the term peaks for heights in [0, 1]^g.
+    m_k = K(k + c) and log C_k its exponent from ``lattice_terms``, whose
+    window serves the heights y in [0, 1]^g and leaves out the terms that
+    cannot reach tol there.
     """
     kmat = np.array(K.entries, dtype=float)
     omega = OmegaMatrix.create(tp.tau * kmat)
     xiv = np.asarray(xi, dtype=complex)
-    kinv_a = np.linalg.solve(kmat, xiv.imag / tp.t)
     terms = {}
     for c in cs:
         cf = np.array([float(q) for q in c])
-        # term peaks sit at -c - y - K^{-1} a for heights y in [0, 1]^g
-        ks, _ = lattice_terms(
-            omega, truncation_plan(omega, cf, tol), xi, -cf - 1 - kinv_a, -cf - kinv_a
-        )
-        ka = ks + cf[None, :]
-        m = np.rint(ka @ kmat.T)  # integral, because K c is
-        log_c = 1j * np.pi * (tp.tau * np.sum(ka * m, axis=1) + 2 * ka @ xiv)
-        terms[c] = (m.astype(int), log_c)
+        ks, expo = lattice_terms(omega, truncation_plan(omega, cf, tol), xiv, mid=0.5)
+        kept = expo[:, 0].real > -np.inf
+        m = np.rint((ks[kept] + cf[None, :]) @ kmat.T)  # integral, because K c is
+        terms[c] = (m.astype(int), expo[kept, 0])
     return terms
 
 

@@ -20,28 +20,39 @@ does.  The reduced heights Y^{-1} Im z' lie in [-1/2, 1/2]^g, where the
 terms neither overflow nor underflow against each other.
 
 Truncation: the reduced terms are a Gaussian in k centred at
-mu = -a - Y^{-1} Im z'.  Summation runs over the integer box of halfwidth r
-around the range of mu over all reduced heights in [-1/2, 1/2]^g, so that a
-value does not depend on the other points of its batch; r is the smallest
-integer making the shell bound
-sum_{j >= r} 2 g (2j+1)^{g-1} exp(-pi lambda_min j^2) fall below tol/4
-(lambda_min the smallest eigenvalue of Y; the factor 2 is the safety margin
-on the tol/2 budget).  The bound is relative to the largest term, of
-modulus exp(pi y' Y^{-1} y); near a zero of Theta that is far above |Theta|.
-Characteristics are used exactly as given, not reduced modulo 1.
+mu = -a - Y^{-1} Im z'.  A plan's box has halfwidth r around the range of
+mu over all reduced heights in [-1/2, 1/2]^g, so that a value does not
+depend on the other points of its batch; r is the smallest integer making
+the shell bound sum_{j >= r} 2 g (2j+1)^{g-1} exp(-pi lambda_min j^2) fall
+below tol/8 (lambda_min the smallest eigenvalue of Y).  Most of that box is
+far out on the Gaussian: at reduced height h, term k has modulus
+exp(-pi |k + a + h|_Y^2) times the largest, and |h|_Y <= rho with
+rho = sqrt(sum_ij |Y_ij|)/2, so the terms outside the ellipsoid
+|k + a|_Y < rho + s, s = sqrt(log(8 N / tol) / pi) for a box of N terms,
+add at most tol/8 together.  The window is the box cut to the bounding
+box of these ellipsoids, and the terms outside them get exact zero
+coefficients, which also keeps subnormal products out of the sum.  Shell
+tail and cut stay below tol/4, a factor 2 inside the tol/2 budget.  The
+bound is relative to the largest term, of modulus exp(pi y' Y^{-1} y);
+near a zero of Theta that is far above |Theta|.  Characteristics are used
+exactly as given, not reduced modulo 1.
 
 The series is truncated and summed in one place.  `lattice_terms` builds
-the box of a `TruncationPlan` with the coefficients
-exp(pi i (k+a)' Omega (k+a) + 2 pi i (k+a)' b) of each of the plan's
-characteristics a.  The kernel `_theta_sum` evaluates all of them at once:
+the window of a `TruncationPlan` with the exponents
+pi i (k+a)' Omega (k+a) + 2 pi i (k+a)' b of each of the plan's
+characteristics a, -inf for the terms cut.  The kernel `_theta_sum`
+evaluates all of them at once:
 Theta[a,b](z') = exp(2 pi i a' z') sum_k coeff_a(k) exp(2 pi i k' z'), and
 the phases exp(2 pi i k' z') are shared.  Per axis they cost two `exp` per
 point; the other powers are repeated products, combined on the box as a
 product grid.  One (points x terms) @ (terms x characteristics) product
 then sums every characteristic; chunks of points keep the phase matrix
-near 2^16 entries.  `riemann_theta_batch` is the kernel for one
-characteristic, `jacobi_theta_batch` its g = 1 case with Omega = [[tau]].
-The center-of-mass Gram takes its box from `lattice_terms` too.  No tol
+near 2^16 entries.  The window's origin, counts and read-only
+coefficients come from a bounded cache keyed by the value of
+(Omega, plan, b), so the replicates of a QMC Gram build it once.
+`riemann_theta_batch` is the kernel for one characteristic,
+`jacobi_theta_batch` its g = 1 case with Omega = [[tau]].
+The center-of-mass Gram takes its window from `lattice_terms` too.  No tol
 below MIN_TOL = 1e-14 is accepted: below it, rounding in double arithmetic
 alone can exceed the bound.
 """
@@ -49,8 +60,9 @@ alone can exceed the bound.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -113,16 +125,18 @@ class ThetaCharacteristics:
         return len(self.a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OmegaMatrix:
     """Symmetric period matrix with positive-definite imaginary part.
 
-    Stores the smallest eigenvalue of Im(Omega), which drives the
-    truncation bound.
+    Stores the smallest eigenvalue of Y = Im(Omega), which drives the
+    truncation bound, and Y^{-1}, which reduces the arguments.  Equal and
+    hashed by the entries of Omega, so that a window is cached by value.
     """
 
     omega: np.ndarray
-    lambda_min: float = field(compare=False)
+    lambda_min: float
+    yinv: np.ndarray
 
     @classmethod
     def create(cls, omega: Sequence[Sequence[complex]]) -> "OmegaMatrix":
@@ -136,8 +150,17 @@ class OmegaMatrix:
         lam = float(np.min(np.linalg.eigvalsh(om.imag)))
         if not lam > 0:
             raise ImagNotPositiveDefiniteError("Im(Omega) is not positive definite")
+        yinv = np.linalg.inv(om.imag)
         om.setflags(write=False)
-        return cls(omega=om, lambda_min=lam)
+        yinv.setflags(write=False)
+        return cls(omega=om, lambda_min=lam, yinv=yinv)
+
+    def __eq__(self, other) -> bool:
+        # complex g x g entries: equal bytes mean equal g and equal entries
+        return isinstance(other, OmegaMatrix) and self.omega.tobytes() == other.omega.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.omega.tobytes())
 
     @property
     def g(self) -> int:
@@ -146,11 +169,12 @@ class OmegaMatrix:
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Integer window that keeps the discarded theta tail below tol/2 for each of ``a``."""
+    """Integer window that keeps the discarded theta tail below tol/4 for each of ``a``."""
 
     halfwidth: int
     g: int
     a: tuple[tuple[float, ...], ...]
+    tol: float
 
 
 def _tail_halfwidth(lambda_min: float, g: int, tol: float) -> int:
@@ -185,39 +209,79 @@ def truncation_plan(omega: OmegaMatrix, a, tol: float) -> TruncationPlan:
     if chars.shape[1] != g:
         raise ValueError(f"characteristics must have g = {g} entries each")
     return TruncationPlan(
-        halfwidth=_tail_halfwidth(omega.lambda_min, g, tol) + 1,
+        # the shell tail at tol/8: _tail_halfwidth bounds it by a quarter of its tol
+        halfwidth=_tail_halfwidth(omega.lambda_min, g, tol / 2) + 1,
         g=g,
         a=tuple(tuple(float(x) for x in row) for row in chars),
+        tol=tol,
     )
 
 
 def lattice_terms(
-    omega: OmegaMatrix,
-    plan: TruncationPlan,
-    b,
-    center_lo: Sequence[float],
-    center_hi: Sequence[float],
+    omega: OmegaMatrix, plan: TruncationPlan, b, mid: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integer points of the plan's window, with coefficients per characteristic.
+    """Integer points of the plan's window, with the exponents of its terms per characteristic.
 
-    The window is the integer box covering term peaks in [center_lo,
-    center_hi], widened by the plan's halfwidth.  Returns ks, its (N, g)
-    integer points in row-major order (ks[0] and ks[-1] are the corners),
-    and coeff, (N, d) with column j exp(pi i ka' Omega ka + 2 pi i ka . b)
-    at ka = k + a_j for the plan's characteristics a_j; b may be complex.
+    The terms are exp(pi i ka' Omega ka + 2 pi i ka . (z + b)) at
+    ka = k + a_j for the plan's characteristics a_j, at points z whose
+    heights Y^{-1} Im z lie in mid + [-1/2, 1/2]^g; b may be complex.
+    Returns ks, the window's (N, g) integer points in row-major order
+    (ks[0] and ks[-1] are the corners), and expo, (N, d) with column j the
+    exponent pi i ka' Omega ka + 2 pi i ka . b, or -inf where the term
+    cannot reach the plan's tol.
+
+    With c = Y^{-1} Im b + mid and h = Y^{-1} Im z - mid, term ka has
+    modulus exp(-pi |ka + c + h|_Y^2) times exp(pi |c + h|_Y^2), the largest
+    any term has there, and |h|_Y <= rho = sqrt(sum |Y_ij|) / 2.  The plan's
+    box, of N points, covers every peak -a_j - c - h widened by its
+    halfwidth; inside it, (k, a_j) is cut where |ka + c|_Y >= rho + s, as
+    there the term is below eps times the largest, eps = exp(-pi s^2) = tol / (8 N).
     """
+    y, bb = omega.omega.imag, np.asarray(b)
+    shift = omega.yinv @ bb.imag + mid
+    centers = -np.asarray(plan.a) - shift  # (d, g): the peaks at the middle height
+    cmin, cmax = centers.min(axis=0).tolist(), centers.max(axis=0).tolist()
     hw = plan.halfwidth
-    axes = [
-        np.arange(math.floor(lo) - hw, math.ceil(hi) + hw + 1, dtype=float)
-        for lo, hi in zip(center_lo, center_hi)
-    ]
-    ks = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, plan.g)
-    coeff = np.empty((ks.shape[0], len(plan.a)), dtype=complex)
+    lo = [math.floor(c - 0.5) - hw for c in cmin]
+    hi = [math.ceil(c + 0.5) + hw for c in cmax]
+    size = math.prod(top - bottom + 1 for bottom, top in zip(lo, hi))
+    radius = 0.5 * math.sqrt(np.abs(y).sum()) + math.sqrt(math.log(8 * size / plan.tol) / math.pi)
+    # the plan's box cut to the bounding box of the kept ellipsoids
+    reach = (radius * np.sqrt(omega.yinv.diagonal())).tolist()
+    lo = [max(bottom, math.ceil(c - r)) for bottom, c, r in zip(lo, cmin, reach)]
+    hi = [min(top, math.floor(c + r)) for top, c, r in zip(hi, cmax, reach)]
+    ks = np.indices([top - bottom + 1 for bottom, top in zip(lo, hi)]).reshape(plan.g, -1).T + lo
+    expo = np.empty((ks.shape[0], len(plan.a)), dtype=complex)
+    # Re expo - ka . slope = -pi |ka + c|_Y^2 + pi |c|_Y^2, cut where below -pi radius^2
+    slope = 2 * np.pi * mid * y.sum(axis=1)
+    floor = math.pi * (shift @ y @ shift - radius**2)
     for j, a in enumerate(plan.a):
         ka = ks + np.asarray(a)[None, :]
         quad = np.einsum("ij,jk,ik->i", ka, omega.omega, ka)
-        coeff[:, j] = np.exp(1j * np.pi * quad + 2j * np.pi * (ka @ np.asarray(b)))
-    return ks, coeff
+        e = 1j * np.pi * quad + 2j * np.pi * (ka @ bb)
+        e[e.real - ka @ slope <= floor] = -np.inf
+        expo[:, j] = e
+    return ks, expo
+
+
+# the windows of _theta_sum kept, by value of (Omega, plan, b); bounded, because
+# callers such as the law checks draw a new Omega for every sample
+_WINDOWS = 64
+
+
+@functools.lru_cache(maxsize=_WINDOWS)
+def _window(
+    omega: OmegaMatrix, plan: TruncationPlan, b: tuple[float, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """``lattice_terms``' window at real b as (origin, counts per axis, read-only coefficients).
+
+    The coefficients are the exponentials of the exponents, exact zeros for
+    the terms cut.
+    """
+    ks, expo = lattice_terms(omega, plan, np.asarray(b))
+    coeff = np.exp(expo)
+    coeff.setflags(write=False)
+    return tuple(ks[0].tolist()), tuple(int(n) for n in ks[-1] - ks[0] + 1), coeff
 
 
 def _axis_powers(z: np.ndarray, lo: float, count: int) -> np.ndarray:
@@ -242,16 +306,13 @@ def _theta_sum(omega: OmegaMatrix, plan: TruncationPlan, b, z: np.ndarray) -> np
     out = np.empty((z.shape[0], a.shape[0]), dtype=complex)
     if not out.size:
         return out
-    heights = np.linalg.solve(omega.omega.imag, z.imag.T).T
-    m = np.rint(heights)
+    m = np.rint(z.imag @ omega.yinv.T)
     zr = z - m @ omega.omega
     factor = np.exp(-1j * np.pi * np.sum(m * (z + zr + 2 * b), axis=1))
-    # term peaks -a - reduced for every reduced height in [-1/2, 1/2]^g, so that
-    # the window, and with it each value, does not depend on the other points
-    peaks = (-a.max(0) - 0.5, -a.min(0) + 0.5)
-    ks, coeff = lattice_terms(omega, plan, b, *peaks)
-    lo, counts = ks[0], (ks[-1] - ks[0] + 1).astype(int)
-    step = max(1, _CHUNK // ks.shape[0])
+    # one window for every reduced height in [-1/2, 1/2]^g, so that each value
+    # does not depend on the other points
+    lo, counts, coeff = _window(omega, plan, tuple(np.asarray(b, dtype=float).tolist()))
+    step = max(1, _CHUNK // coeff.shape[0])
     for s in range(0, z.shape[0], step):
         zc = zr[s : s + step]
         phases = _axis_powers(zc[:, 0], lo[0], counts[0])
@@ -274,7 +335,7 @@ def jacobi_theta_batch(
     tp = tau if isinstance(tau, TorusParams) else TorusParams(complex(tau))
     zz = np.asarray(z, dtype=complex)
     # TorusParams has checked Im tau > 0, which is all OmegaMatrix.create would check
-    omega = OmegaMatrix(np.array([[tp.tau]]), tp.t)
+    omega = OmegaMatrix(np.array([[tp.tau]]), tp.t, np.array([[1 / tp.t]]))
     plan = truncation_plan(omega, (a,), tol)
     return _theta_sum(omega, plan, np.array([float(b)]), zz.reshape(-1, 1))[:, 0].reshape(zz.shape)
 

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from torushall.heisenberg import pairing_exponents, root_of_unity
+from torushall.theta import OmegaMatrix, TruncationPlan
 from torushall.wen import (
     PiGroup,
     WenMatrix,
@@ -148,6 +149,33 @@ def fraction_rep_matrices(K: WenMatrix):
     t1 = tuple(fraction_exponent(u, c, K) for c in basis)
     t2 = tuple(index[pi_add(c, u)] for c in basis)
     return fraction_exponent(u, u, K), t1, t2, basis
+
+
+# ---------------------------------------------------------------------------
+# The theta series summed term by term over the whole box of a truncation
+# plan, with no term cut: the reference for the trimmed window of the kernel.
+
+
+def untrimmed_theta_sum(omega: OmegaMatrix, plan: TruncationPlan, b, z) -> np.ndarray:
+    """Theta[a, b](z | Omega) for each of the plan's a, at an (M, g) array of reduced z.
+
+    Reduced means heights Y^{-1} Im z in [-1/2, 1/2]^g.  The box covers the
+    term peaks -a - h of every such height h, widened by the plan's
+    halfwidth, and every term exp(pi i ka' Omega ka + 2 pi i ka.(z + b)) in
+    it is summed.  Returns an (M, d) array.
+    """
+    a = np.asarray(plan.a)
+    lo = np.floor(-a.max(axis=0) - 0.5) - plan.halfwidth
+    hi = np.ceil(-a.min(axis=0) + 0.5) + plan.halfwidth
+    axes = [range(int(bottom), int(top) + 1) for bottom, top in zip(lo, hi)]
+    ks = np.array(list(itertools.product(*axes)))
+    shifted = np.asarray(z) + np.asarray(b)[None, :]
+    out = []
+    for aj in a:
+        ka = ks + aj[None, :]
+        quad = np.einsum("ij,jk,ik->i", ka, omega.omega, ka)
+        out.append(np.exp(1j * np.pi * quad[:, None] + 2j * np.pi * (ka @ shifted.T)).sum(axis=0))
+    return np.stack(out, axis=1)
 
 
 @pytest.fixture

@@ -83,6 +83,30 @@ class TestSchema:
 
 
 class TestCli:
+    def test_parser_built_once(self, k22_doc, monkeypatch, capsys):
+        import argparse
+
+        from torushall import cli
+
+        builds = []
+        real = argparse.ArgumentParser.add_subparsers
+
+        def spy(parser, *args, **kwargs):
+            builds.append(parser.prog)
+            return real(parser, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+        try:
+            outputs = []
+            for _ in range(2):
+                assert main(["invariants", "--input", k22_doc]) == 0
+                outputs.append(capsys.readouterr().out)
+        finally:
+            cli.build_parser.cache_clear()
+        assert outputs[0] and outputs[0] == outputs[1]
+        assert builds == ["torushall"]
+
     def test_invariants_report(self, k22_doc, capsys):
         assert main(["invariants", "--input", k22_doc]) == 0
         out = capsys.readouterr().out
@@ -306,11 +330,11 @@ class TestCli:
         assert verdicts["magnetic.t1_eigenvalue"] == verdicts["magnetic.t2_shift"] == "PASS"
 
     def test_sampling_budget_exit_two(self, tmp_path, capsys):
-        # jain(1, 4): p = 6 on 6^4 height nodes times about 1.3e5 lattice terms
-        # over the 5 cosets, about 1.7e8 entries, over the default budget
+        # jain(1, 4) at tau = i/2: p = 8 on 8^4 height nodes times about 3.1e4
+        # lattice terms over the 5 cosets, about 1.3e8 entries, over the default budget
         path = tmp_path / "jain14.json"
         rows = [[2 if i == j else 1 for j in range(4)] for i in range(4)]
-        path.write_text(json.dumps({"K": rows, "n": [1, 1, 1, 1]}))
+        path.write_text(json.dumps({"K": rows, "n": [1, 1, 1, 1], "tau": [0, 0.5]}))
         assert main(["gram-center", "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert "SamplingBudgetExceededError" in captured.err

@@ -344,6 +344,16 @@ class TestGramCenter:
         assert np.signbit(formed.imag).any()
         assert report.matrix.tobytes() == formed.tobytes()
 
+    def test_keeps_only_terms_that_reach_tol(self):
+        # the window is cut like the theta kernel's: the README datum's
+        # untrimmed boxes held 169 terms per coset
+        from torushall import gram
+
+        K = validate_wen_matrix([[3, 2], [2, 3]])
+        cs = pi_group(K).elements
+        terms = gram._center_terms(K, (0.1 + 0.2j, 0j), TorusParams(1j), cs, 1e-12)
+        assert max(m.shape[0] for m, _ in terms.values()) <= 50
+
     def test_aliasing_bound_small(self):
         K = validate_wen_matrix([[2]])
         report = gram_center(K, (0j,), TorusParams(1j))

@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import untrimmed_theta_sum
+from torushall.checks import random_omega
 from torushall.theta import (
     MIN_TOL,
     AsymmetricOmegaError,
@@ -13,6 +16,7 @@ from torushall.theta import (
     ThetaCharacteristics,
     ToleranceTooSmallError,
     _theta_sum,
+    _window,
     jacobi_theta,
     jacobi_theta_batch,
     riemann_theta,
@@ -297,3 +301,89 @@ class TestTruncationPlan:
             v2 = _theta_sum(om, wide, b, z[None, :])[0, 0]
             assert v1 == riemann_theta_batch(chars, z[None, :], om, tol)[0]
             assert abs(v1 - v2) < tol
+
+
+class TestWindow:
+    """The kernel's window: the plan's box cut to the terms that can reach tol."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        g=st.integers(1, 3),
+        d=st.integers(1, 3),
+        tol=st.sampled_from((1e-12, 1e-8, 1e-3)),
+        data=st.data(),
+    )
+    def test_within_tol_of_untrimmed_box(self, seed, g, d, tol, data):
+        # every term cut is below tol / (8 N) of the largest, so the cut moves
+        # a value by less than tol/8 of the largest term
+        def vec(lo, hi):
+            return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=g, max_size=g)))
+
+        chars = [tuple(vec(-0.5, 0.5)) for _ in range(d)]
+        b = vec(-0.5, 0.5)
+        z = vec(-0.5, 0.5) + 1j * vec(-20.0, 20.0)
+        om = random_omega(np.random.default_rng(seed), g)
+        y = om.omega.imag
+        # reduce first, so that both sums see one point with heights in (-1/2, 1/2)^g
+        zr = z - om.omega @ np.rint(np.linalg.solve(y, z.imag))
+        heights = np.linalg.solve(y, zr.imag)
+        assume(np.all(np.abs(heights) < 0.5 - 1e-9))
+        plan = truncation_plan(om, chars, tol)
+        got = _theta_sum(om, plan, b, zr[None, :])[0]
+        want = untrimmed_theta_sum(om, plan, b, zr[None, :])[0]
+        peak = math.exp(math.pi * heights @ y @ heights)
+        assert np.max(np.abs(got - want)) <= tol / 8 * peak
+
+    @staticmethod
+    def _odd_window():
+        om = OmegaMatrix.create([[1j]])
+        return _window(om, truncation_plan(om, (0.5,), 1e-12), (0.5,))
+
+    @staticmethod
+    def _jain_center_window():
+        # the center basis of jain(1,2) at tau = i: Theta[c, 0](. | i K) over the 3 cosets
+        om = OmegaMatrix.create(1j * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        cs = ((0.0, 0.0), (1 / 3, 1 / 3), (2 / 3, 2 / 3))
+        return _window(om, truncation_plan(om, cs, 1e-12), (0.0, 0.0))
+
+    def test_term_counts(self):
+        # the untrimmed boxes held 12 and 196 terms
+        assert self._odd_window()[2].shape[0] <= 8
+        assert self._jain_center_window()[2].shape[0] <= 100
+
+    def test_no_subnormal_coefficient(self):
+        # subnormal coefficients slow the (points x terms) product several-fold;
+        # the untrimmed jain(1,2) box held one of 1.03e-312
+        for _lo, _counts, coeff in (self._odd_window(), self._jain_center_window()):
+            kept = np.abs(coeff[coeff != 0])
+            assert kept.min() >= np.finfo(float).tiny
+
+
+class TestWindowCache:
+    def test_bounded(self):
+        rng = np.random.default_rng(11)
+        for i in range(1000):
+            om = random_omega(rng, 1 + i % 2)
+            chars = ThetaCharacteristics(a=(0.1,) * om.g, b=(0.2,) * om.g)
+            riemann_theta_batch(chars, np.zeros((1, om.g)), om)
+        info = _window.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_read_only(self):
+        om = OmegaMatrix.create(OMEGA_G2)
+        lo, counts, coeff = _window(om, truncation_plan(om, (0.25, -0.5), 1e-12), (0.1, 0.7))
+        assert isinstance(lo, tuple) and isinstance(counts, tuple)
+        with pytest.raises(ValueError):
+            coeff[0, 0] = 1.0
+
+    def test_cold_and_warm_bit_identical(self, rng):
+        chars = ThetaCharacteristics(a=(0.25, -0.5), b=(0.1, 0.7))
+        zs = rng.uniform(-0.5, 0.5, size=(7, 2)) + 1j * rng.uniform(-3, 3, size=(7, 2))
+        _window.cache_clear()
+        cold = riemann_theta_batch(chars, zs, OmegaMatrix.create(OMEGA_G2))
+        # an equal Omega built again finds the window by value
+        warm = riemann_theta_batch(chars, zs, OmegaMatrix.create(OMEGA_G2))
+        info = _window.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert cold.tobytes() == warm.tobytes()
