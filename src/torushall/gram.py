@@ -61,7 +61,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .heisenberg import rep_matrices
-from .theta import OmegaMatrix, TorusParams, _tail_halfwidth, lattice_terms, truncation_plan
+from .theta import OmegaMatrix, TorusParams, _tail_halfwidth, lattice_terms
 from .wavefunctions import WaveFunctionSpec, phi_values
 from .wavefunctions import center_basis_batch  # noqa: F401  bench/test_bench.py wraps it here
 from .wen import PiElement, WenMatrix, pi_group
@@ -247,10 +247,10 @@ def _center_terms(
     terms = {}
     for c in cs:
         cf = np.array([float(q) for q in c])
-        ks, expo = lattice_terms(omega, truncation_plan(omega, cf, tol), xiv, mid=0.5)
-        kept = expo[:, 0].real > -np.inf
+        ks, expo = lattice_terms(omega, cf, xiv, tol, mid=0.5)
+        kept = expo[0].real > -np.inf
         m = np.rint((ks[kept] + cf[None, :]) @ kmat.T)  # integral, because K c is
-        terms[c] = (m.astype(int), expo[kept, 0])
+        terms[c] = (m.astype(int), expo[0, kept])
     return terms
 
 

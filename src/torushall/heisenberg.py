@@ -74,10 +74,6 @@ class RepMatrices:
         """The slot cosets as Fraction tuples c in [0, 1), built on first read."""
         return coset_fractions(self.numerators, self.delta)
 
-    @property
-    def q(self) -> complex:
-        return root_of_unity(self.q_exponent, self.delta)
-
     def t1_matrix(self) -> np.ndarray:
         return np.diag([root_of_unity(e, self.delta) for e in self.t1_exponents])
 

@@ -20,7 +20,7 @@ does.  The reduced heights Y^{-1} Im z' lie in [-1/2, 1/2]^g, where the
 terms neither overflow nor underflow against each other.
 
 Truncation: the reduced terms are a Gaussian in k centred at
-mu = -a - Y^{-1} Im z'.  A plan's box has halfwidth r around the range of
+mu = -a - Y^{-1} Im z'.  The box has halfwidth r around the range of
 mu over all reduced heights in [-1/2, 1/2]^g, so that a value does not
 depend on the other points of its batch; r is the smallest integer making
 the shell bound sum_{j >= r} 2 g (2j+1)^{g-1} exp(-pi lambda_min j^2) fall
@@ -37,20 +37,22 @@ bound is relative to the largest term, of modulus exp(pi y' Y^{-1} y);
 near a zero of Theta that is far above |Theta|.  Characteristics are used
 exactly as given, not reduced modulo 1.
 
-The series is truncated and summed in one place.  `lattice_terms` builds
-the window of a `TruncationPlan` with the exponents
-pi i (k+a)' Omega (k+a) + 2 pi i (k+a)' b of each of the plan's
-characteristics a, -inf for the terms cut.  The kernel `_theta_sum`
-evaluates all of them at once:
-Theta[a,b](z') = exp(2 pi i a' z') sum_k coeff_a(k) exp(2 pi i k' z'), and
+The series is truncated and summed in one place.  For real b,
+Theta[a,b](z) = Theta[a,0](z + b) term by term, so the entry points pass
+z + b and the kernel `_theta_sum(omega, a, z, tol)` sums Theta[a_j,0] for
+every characteristic a_j at once:
+Theta[a,0](z') = exp(2 pi i a' z') sum_k coeff_a(k) exp(2 pi i k' z'), and
 the phases exp(2 pi i k' z') are shared.  Per axis they cost two `exp` per
 point; the other powers are repeated products, combined on the box as a
-product grid.  One (points x terms) @ (terms x characteristics) product
-then sums every characteristic; chunks of points keep the phase matrix
-near 2^16 entries.  The window's origin, counts and read-only
-coefficients come from a bounded cache keyed by the value of
-(Omega, plan, b), so the replicates of a QMC Gram build it once.
-`riemann_theta_batch` is the kernel for one characteristic,
+product grid with the points as the inner axis.  One
+(characteristics x terms) @ (terms x points) product then sums every
+characteristic, and the values come out as (d, M); chunks of points keep
+the phase matrix near 2^16 entries.  `lattice_terms` builds the window at
+tol with the exponents pi i (k+a)' Omega (k+a) + 2 pi i (k+a)' b, -inf for
+the terms cut; the kernel takes its origin, counts and read-only
+coefficients at b = 0 from a bounded cache keyed by the value of
+(Omega, characteristics, tol), so the replicates of a QMC Gram build it
+once.  `riemann_theta_batch` is the kernel for one characteristic,
 `jacobi_theta_batch` its g = 1 case with Omega = [[tau]].
 The center-of-mass Gram takes its window from `lattice_terms` too.  No tol
 below MIN_TOL = 1e-14 is accepted: below it, rounding in double arithmetic
@@ -101,10 +103,6 @@ class TorusParams:
     @property
     def t(self) -> float:
         return self.tau.imag
-
-    @property
-    def s(self) -> float:
-        return self.tau.real
 
 
 @dataclass(frozen=True)
@@ -167,16 +165,6 @@ class OmegaMatrix:
         return self.omega.shape[0]
 
 
-@dataclass(frozen=True)
-class TruncationPlan:
-    """Integer window that keeps the discarded theta tail below tol/4 for each of ``a``."""
-
-    halfwidth: int
-    g: int
-    a: tuple[tuple[float, ...], ...]
-    tol: float
-
-
 def _tail_halfwidth(lambda_min: float, g: int, tol: float) -> int:
     """Smallest integer r whose infinity-norm shell tail is below tol/4."""
     if lambda_min <= 0:
@@ -200,127 +188,119 @@ def _tail_halfwidth(lambda_min: float, g: int, tol: float) -> int:
     raise RuntimeError("truncation search did not converge")
 
 
-def truncation_plan(omega: OmegaMatrix, a, tol: float) -> TruncationPlan:
-    """Shared window for Theta[a, .](. | Omega) at tol; a: one characteristic or (d, g)."""
+def lattice_terms(
+    omega: OmegaMatrix, a, b, tol: float, mid: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer points of the window at tol, with the exponents of its terms per characteristic.
+
+    a is one characteristic or a (d, g) array of them.  The terms are
+    exp(pi i ka' Omega ka + 2 pi i ka . (z + b)) at ka = k + a_j, at points
+    z whose heights Y^{-1} Im z lie in mid + [-1/2, 1/2]^g; b may be complex.
+    Returns ks, the window's (N, g) integer points in row-major order
+    (ks[0] and ks[-1] are the corners), and expo, (d, N) with row j the
+    exponent pi i ka' Omega ka + 2 pi i ka . b, or -inf where the term
+    cannot reach tol.
+
+    With c = Y^{-1} Im b + mid and h = Y^{-1} Im z - mid, term ka has
+    modulus exp(-pi |ka + c + h|_Y^2) times exp(pi |c + h|_Y^2), the largest
+    any term has there, and |h|_Y <= rho = sqrt(sum |Y_ij|) / 2.  The box,
+    of N points, covers every peak -a_j - c - h widened by the halfwidth
+    whose shell tail is below tol/8; inside it, (k, a_j) is cut where
+    |ka + c|_Y >= rho + s, as there the term is below eps times the
+    largest, eps = exp(-pi s^2) = tol / (8 N).
+    """
     if not MIN_TOL <= tol < math.inf:
         raise ToleranceTooSmallError(f"tol = {tol:g} must be finite and at least {MIN_TOL:g}")
     g = omega.g
     chars = np.atleast_2d(np.asarray(a, dtype=float))
     if chars.shape[1] != g:
         raise ValueError(f"characteristics must have g = {g} entries each")
-    return TruncationPlan(
-        # the shell tail at tol/8: _tail_halfwidth bounds it by a quarter of its tol
-        halfwidth=_tail_halfwidth(omega.lambda_min, g, tol / 2) + 1,
-        g=g,
-        a=tuple(tuple(float(x) for x in row) for row in chars),
-        tol=tol,
-    )
-
-
-def lattice_terms(
-    omega: OmegaMatrix, plan: TruncationPlan, b, mid: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integer points of the plan's window, with the exponents of its terms per characteristic.
-
-    The terms are exp(pi i ka' Omega ka + 2 pi i ka . (z + b)) at
-    ka = k + a_j for the plan's characteristics a_j, at points z whose
-    heights Y^{-1} Im z lie in mid + [-1/2, 1/2]^g; b may be complex.
-    Returns ks, the window's (N, g) integer points in row-major order
-    (ks[0] and ks[-1] are the corners), and expo, (N, d) with column j the
-    exponent pi i ka' Omega ka + 2 pi i ka . b, or -inf where the term
-    cannot reach the plan's tol.
-
-    With c = Y^{-1} Im b + mid and h = Y^{-1} Im z - mid, term ka has
-    modulus exp(-pi |ka + c + h|_Y^2) times exp(pi |c + h|_Y^2), the largest
-    any term has there, and |h|_Y <= rho = sqrt(sum |Y_ij|) / 2.  The plan's
-    box, of N points, covers every peak -a_j - c - h widened by its
-    halfwidth; inside it, (k, a_j) is cut where |ka + c|_Y >= rho + s, as
-    there the term is below eps times the largest, eps = exp(-pi s^2) = tol / (8 N).
-    """
+    # the shell tail at tol/8: _tail_halfwidth bounds it by a quarter of its tol
+    hw = _tail_halfwidth(omega.lambda_min, g, tol / 2) + 1
     y, bb = omega.omega.imag, np.asarray(b)
     shift = omega.yinv @ bb.imag + mid
-    centers = -np.asarray(plan.a) - shift  # (d, g): the peaks at the middle height
+    centers = -chars - shift  # (d, g): the peaks at the middle height
     cmin, cmax = centers.min(axis=0).tolist(), centers.max(axis=0).tolist()
-    hw = plan.halfwidth
     lo = [math.floor(c - 0.5) - hw for c in cmin]
     hi = [math.ceil(c + 0.5) + hw for c in cmax]
     size = math.prod(top - bottom + 1 for bottom, top in zip(lo, hi))
-    radius = 0.5 * math.sqrt(np.abs(y).sum()) + math.sqrt(math.log(8 * size / plan.tol) / math.pi)
-    # the plan's box cut to the bounding box of the kept ellipsoids
+    radius = 0.5 * math.sqrt(np.abs(y).sum()) + math.sqrt(math.log(8 * size / tol) / math.pi)
+    # the box cut to the bounding box of the kept ellipsoids
     reach = (radius * np.sqrt(omega.yinv.diagonal())).tolist()
     lo = [max(bottom, math.ceil(c - r)) for bottom, c, r in zip(lo, cmin, reach)]
     hi = [min(top, math.floor(c + r)) for top, c, r in zip(hi, cmax, reach)]
-    ks = np.indices([top - bottom + 1 for bottom, top in zip(lo, hi)]).reshape(plan.g, -1).T + lo
-    expo = np.empty((ks.shape[0], len(plan.a)), dtype=complex)
+    ks = np.indices([top - bottom + 1 for bottom, top in zip(lo, hi)]).reshape(g, -1).T + lo
+    expo = np.empty((chars.shape[0], ks.shape[0]), dtype=complex)
     # Re expo - ka . slope = -pi |ka + c|_Y^2 + pi |c|_Y^2, cut where below -pi radius^2
     slope = 2 * np.pi * mid * y.sum(axis=1)
     floor = math.pi * (shift @ y @ shift - radius**2)
-    for j, a in enumerate(plan.a):
-        ka = ks + np.asarray(a)[None, :]
+    for j, aj in enumerate(chars):
+        ka = ks + aj[None, :]
         quad = np.einsum("ij,jk,ik->i", ka, omega.omega, ka)
         e = 1j * np.pi * quad + 2j * np.pi * (ka @ bb)
         e[e.real - ka @ slope <= floor] = -np.inf
-        expo[:, j] = e
+        expo[j] = e
     return ks, expo
 
 
-# the windows of _theta_sum kept, by value of (Omega, plan, b); bounded, because
-# callers such as the law checks draw a new Omega for every sample
+# the windows of _theta_sum kept, by value of (Omega, characteristics, tol);
+# bounded, because callers such as the law checks draw a new Omega for every sample
 _WINDOWS = 64
 
 
 @functools.lru_cache(maxsize=_WINDOWS)
 def _window(
-    omega: OmegaMatrix, plan: TruncationPlan, b: tuple[float, ...]
+    omega: OmegaMatrix, a: tuple[tuple[float, ...], ...], tol: float
 ) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """``lattice_terms``' window at real b as (origin, counts per axis, read-only coefficients).
+    """``lattice_terms``' window at b = 0 as (origin, counts per axis, read-only coefficients).
 
-    The coefficients are the exponentials of the exponents, exact zeros for
-    the terms cut.
+    The coefficients, (d, N), are the exponentials of the exponents, exact
+    zeros for the terms cut.
     """
-    ks, expo = lattice_terms(omega, plan, np.asarray(b))
+    ks, expo = lattice_terms(omega, a, np.zeros(omega.g), tol)
     coeff = np.exp(expo)
     coeff.setflags(write=False)
     return tuple(ks[0].tolist()), tuple(int(n) for n in ks[-1] - ks[0] + 1), coeff
 
 
 def _axis_powers(z: np.ndarray, lo: float, count: int) -> np.ndarray:
-    """exp(2 pi i k z), k = lo .. lo + count - 1, as products outward from the middle power."""
+    """exp(2 pi i k z), k = lo .. lo + count - 1, as (count, M) products outward from the middle."""
     mid = count // 2
     u = np.exp(2j * np.pi * z)
-    out = np.empty((z.shape[0], count), dtype=complex)
-    out[:, mid + 1 :] = u[:, None]
-    out[:, :mid] = (1 / u)[:, None]
-    out[:, mid] = np.exp(2j * np.pi * (lo + mid) * z)
-    np.multiply.accumulate(out[:, mid:], axis=1, out=out[:, mid:])
-    np.multiply.accumulate(out[:, mid::-1], axis=1, out=out[:, mid::-1])
+    out = np.empty((count, z.shape[0]), dtype=complex)
+    out[mid + 1 :] = u
+    out[:mid] = 1 / u
+    out[mid] = np.exp(2j * np.pi * (lo + mid) * z)
+    np.multiply.accumulate(out[mid:], axis=0, out=out[mid:])
+    np.multiply.accumulate(out[mid::-1], axis=0, out=out[mid::-1])
     return out
 
 
-def _theta_sum(omega: OmegaMatrix, plan: TruncationPlan, b, z: np.ndarray) -> np.ndarray:
-    """Theta[a, b](z | Omega) for every characteristic a of the plan.
+def _theta_sum(omega: OmegaMatrix, a, z: np.ndarray, tol: float) -> np.ndarray:
+    """Theta[a_j, 0](z | Omega) for each characteristic a_j of a, one or a (d, g) array.
 
-    z is an (M, g) array and b a real g-vector; returns an (M, d) array.
+    z is an (M, g) array; returns a (d, M) array.  Theta[a, b](z) for a
+    real b is Theta[a, 0](z + b).
     """
-    a = np.asarray(plan.a)
-    out = np.empty((z.shape[0], a.shape[0]), dtype=complex)
+    chars = np.atleast_2d(np.asarray(a, dtype=float))
+    # one window for every reduced height in [-1/2, 1/2]^g, so that each value
+    # does not depend on the other points
+    lo, counts, coeff = _window(omega, tuple(map(tuple, chars.tolist())), tol)
+    out = np.empty((chars.shape[0], z.shape[0]), dtype=complex)
     if not out.size:
         return out
     m = np.rint(z.imag @ omega.yinv.T)
     zr = z - m @ omega.omega
-    factor = np.exp(-1j * np.pi * np.sum(m * (z + zr + 2 * b), axis=1))
-    # one window for every reduced height in [-1/2, 1/2]^g, so that each value
-    # does not depend on the other points
-    lo, counts, coeff = _window(omega, plan, tuple(np.asarray(b, dtype=float).tolist()))
-    step = max(1, _CHUNK // coeff.shape[0])
+    factor = np.exp(-1j * np.pi * np.sum(m * (z + zr), axis=1))
+    step = max(1, _CHUNK // coeff.shape[1])
     for s in range(0, z.shape[0], step):
         zc = zr[s : s + step]
         phases = _axis_powers(zc[:, 0], lo[0], counts[0])
-        for i in range(1, plan.g):
+        for i in range(1, omega.g):
             axis = _axis_powers(zc[:, i], lo[i], counts[i])
-            phases = (phases[:, :, None] * axis[:, None, :]).reshape(zc.shape[0], -1)
-        out[s : s + step] = (phases @ coeff) * np.exp(2j * np.pi * (zc @ a.T))
-    out *= factor[:, None]
+            phases = (phases[:, None, :] * axis[None, :, :]).reshape(-1, zc.shape[0])
+        out[:, s : s + step] = (coeff @ phases) * np.exp(2j * np.pi * (chars @ zc.T))
+    out *= factor
     return out
 
 
@@ -336,8 +316,7 @@ def jacobi_theta_batch(
     zz = np.asarray(z, dtype=complex)
     # TorusParams has checked Im tau > 0, which is all OmegaMatrix.create would check
     omega = OmegaMatrix(np.array([[tp.tau]]), tp.t, np.array([[1 / tp.t]]))
-    plan = truncation_plan(omega, (a,), tol)
-    return _theta_sum(omega, plan, np.array([float(b)]), zz.reshape(-1, 1))[:, 0].reshape(zz.shape)
+    return _theta_sum(omega, (a,), zz.reshape(-1, 1) + float(b), tol)[0].reshape(zz.shape)
 
 
 def jacobi_theta(
@@ -347,12 +326,8 @@ def jacobi_theta(
     return complex(jacobi_theta_batch(a, b, np.asarray([z]), tau, tol)[0])
 
 
-def theta_odd(z: complex, tau: TorusParams | complex, tol: float = 1e-12) -> complex:
-    """The odd theta function theta[1/2,1/2](z | tau); vanishes at z = 0."""
-    return jacobi_theta(0.5, 0.5, z, tau, tol)
-
-
 def theta_odd_batch(z, tau: TorusParams | complex, tol: float = 1e-12) -> np.ndarray:
+    """The odd theta function theta[1/2,1/2](z | tau) at an array of points; vanishes at z = 0."""
     return jacobi_theta_batch(0.5, 0.5, z, tau, tol)
 
 
@@ -370,8 +345,7 @@ def riemann_theta_batch(
     zz = np.atleast_2d(np.asarray(z, dtype=complex))
     if zz.shape[1] != omega.g or chars.g != omega.g:
         raise ValueError("dimension mismatch between z, Omega, characteristics")
-    plan = truncation_plan(omega, chars.a, tol)
-    return _theta_sum(omega, plan, np.asarray(chars.b, dtype=float), zz)[:, 0]
+    return _theta_sum(omega, chars.a, zz + np.asarray(chars.b), tol)[0]
 
 
 def riemann_theta(

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .heisenberg import root_of_unity, translation_action
-from .theta import OmegaMatrix, TorusParams, _theta_sum, theta_odd_batch, truncation_plan
+from .theta import OmegaMatrix, TorusParams, _theta_sum, theta_odd_batch
 from .wen import PiElement, WenDatum, pi_group
 
 
@@ -85,9 +85,7 @@ def center_basis_values(
     ww = np.asarray(w, dtype=complex)
     K = np.array(spec.datum.matrix.entries, dtype=float)
     arg = ww @ K.T + np.asarray(spec.xi, dtype=complex)[None, :]
-    omega = spec.omega()
-    plan = truncation_plan(omega, cs, tol)
-    return _theta_sum(omega, plan, np.zeros(spec.g), arg).T
+    return _theta_sum(spec.omega(), cs, arg, tol)
 
 
 def jastrow_batch(

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from torushall.heisenberg import pairing_exponents, root_of_unity
-from torushall.theta import OmegaMatrix, TruncationPlan
+from torushall.theta import OmegaMatrix
 from torushall.wen import (
     PiGroup,
     WenMatrix,
@@ -152,30 +152,30 @@ def fraction_rep_matrices(K: WenMatrix):
 
 
 # ---------------------------------------------------------------------------
-# The theta series summed term by term over the whole box of a truncation
-# plan, with no term cut: the reference for the trimmed window of the kernel.
+# The theta series summed term by term over a whole box, with no term cut:
+# the reference for the trimmed window of the kernel.
 
 
-def untrimmed_theta_sum(omega: OmegaMatrix, plan: TruncationPlan, b, z) -> np.ndarray:
-    """Theta[a, b](z | Omega) for each of the plan's a, at an (M, g) array of reduced z.
+def untrimmed_theta_sum(omega: OmegaMatrix, a, halfwidth: int, b, z) -> np.ndarray:
+    """Theta[a_j, b](z | Omega) for each characteristic a_j of a (d, g) array a, at reduced z.
 
-    Reduced means heights Y^{-1} Im z in [-1/2, 1/2]^g.  The box covers the
-    term peaks -a - h of every such height h, widened by the plan's
-    halfwidth, and every term exp(pi i ka' Omega ka + 2 pi i ka.(z + b)) in
-    it is summed.  Returns an (M, d) array.
+    z is an (M, g) array whose heights Y^{-1} Im z lie in [-1/2, 1/2]^g.
+    The box covers the term peaks -a_j - h of every such height h, widened
+    by halfwidth, and every term exp(pi i ka' Omega ka + 2 pi i ka.(z + b))
+    in it is summed.  Returns a (d, M) array.
     """
-    a = np.asarray(plan.a)
-    lo = np.floor(-a.max(axis=0) - 0.5) - plan.halfwidth
-    hi = np.ceil(-a.min(axis=0) + 0.5) + plan.halfwidth
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    lo = np.floor(-a.max(axis=0) - 0.5) - halfwidth
+    hi = np.ceil(-a.min(axis=0) + 0.5) + halfwidth
     axes = [range(int(bottom), int(top) + 1) for bottom, top in zip(lo, hi)]
     ks = np.array(list(itertools.product(*axes)))
-    shifted = np.asarray(z) + np.asarray(b)[None, :]
     out = []
     for aj in a:
         ka = ks + aj[None, :]
         quad = np.einsum("ij,jk,ik->i", ka, omega.omega, ka)
-        out.append(np.exp(1j * np.pi * quad[:, None] + 2j * np.pi * (ka @ shifted.T)).sum(axis=0))
-    return np.stack(out, axis=1)
+        terms = 1j * np.pi * quad[:, None] + 2j * np.pi * (ka @ np.asarray(z).T)
+        out.append(np.exp(terms + 2j * np.pi * (ka @ np.asarray(b))[:, None]).sum(axis=0))
+    return np.stack(out)
 
 
 @pytest.fixture

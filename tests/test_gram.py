@@ -502,6 +502,18 @@ class TestGramManybody:
         assert np.array_equal(r1.matrix, r2.matrix)
         assert np.array_equal(r1.stderr, r2.stderr)
 
+    def test_replicates_share_windows(self):
+        # the center basis and the odd theta each build one window, which all
+        # 16 replicates of the Gram then read from the cache
+        from torushall.theta import _window
+
+        datum = validate_wen_datum(jain_matrix(1, 2), (1, 1))
+        spec = WaveFunctionSpec(datum=datum, xi=(0j, 0j), torus=TorusParams(1j))
+        _window.cache_clear()
+        gram_manybody(spec, QuadratureSpec(scheme="qmc", samples=1 << 10, replicates=16))
+        info = _window.cache_info()
+        assert (info.misses, info.hits) == (2, 30)
+
     def test_auto_picks_trapezoid_for_small_dim(self):
         K = validate_wen_matrix([[1]])
         datum = validate_wen_datum(K, (1,))

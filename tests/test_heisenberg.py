@@ -11,7 +11,7 @@ from conftest import (
     upsilon,
     upsilon_exponent,
 )
-from torushall.heisenberg import RepMatrices, irreducibility_norm, rep_matrices
+from torushall.heisenberg import RepMatrices, irreducibility_norm, rep_matrices, root_of_unity
 from torushall.wen import (
     jain_matrix,
     pi_group,
@@ -139,7 +139,7 @@ class TestRepMatrices:
         # q = exp(2 pi i n/d) with n/d = rho/delta = 2/5
         assert rep.q_exponent == 2 and rep.delta == 5
         assert rep.q_is_primitive()
-        assert abs(rep.q - np.exp(2j * np.pi * 2 / 5)) < 1e-15
+        assert abs(root_of_unity(rep.q_exponent, rep.delta) - np.exp(2j * np.pi * 2 / 5)) < 1e-15
 
     def test_exact_relations_up_to_12(self):
         data = [validate_wen_datum(validate_wen_matrix([[k]]), (1,)) for k in range(1, 13)]
@@ -155,7 +155,8 @@ class TestRepMatrices:
             d = rep.delta
             assert np.max(np.abs(t1 @ t1.conj().T - np.eye(d))) < 1e-14
             assert np.max(np.abs(t2 @ t2.conj().T - np.eye(d))) < 1e-14
-            assert np.max(np.abs(t1 @ t2 - rep.q * (t2 @ t1))) < 1e-13
+            q = root_of_unity(rep.q_exponent, rep.delta)
+            assert np.max(np.abs(t1 @ t2 - q * (t2 @ t1))) < 1e-13
 
     def test_primitive_iff_primary(self, rng):
         for _ in range(20):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,15 +14,14 @@ from torushall.theta import (
     OmegaMatrix,
     ThetaCharacteristics,
     ToleranceTooSmallError,
+    _tail_halfwidth,
     _theta_sum,
     _window,
     jacobi_theta,
     jacobi_theta_batch,
     riemann_theta,
     riemann_theta_batch,
-    theta_odd,
     theta_odd_batch,
-    truncation_plan,
 )
 
 # Frozen oracle values: direct lattice sums at 40-digit arithmetic with
@@ -142,8 +140,8 @@ def test_empty_batch_gives_empty_array(evaluate):
 
 class TestOddTheta:
     def test_zero_at_origin(self):
-        assert abs(theta_odd(0, 1j)) < 1e-14
-        assert abs(theta_odd(0, 0.3 + 0.7j)) < 1e-14
+        assert abs(jacobi_theta(0.5, 0.5, 0, 1j)) < 1e-14
+        assert abs(jacobi_theta(0.5, 0.5, 0, 0.3 + 0.7j)) < 1e-14
 
     def test_check_takes_zero_at_every_sampled_tau(self, monkeypatch):
         from torushall import checks
@@ -166,18 +164,19 @@ class TestOddTheta:
         for _ in range(100):
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0))
             z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            assert abs(theta_odd(z, tau) + theta_odd(-z, tau)) < 1e-12
+            assert abs(jacobi_theta(0.5, 0.5, z, tau) + jacobi_theta(0.5, 0.5, -z, tau)) < 1e-12
 
     def test_antiperiodic(self, rng):
         for _ in range(20):
             z = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
-            assert _residual(theta_odd(z + 1, 1j), -theta_odd(z, 1j)) < 1e-12
+            moved, base = jacobi_theta(0.5, 0.5, z + 1, 1j), jacobi_theta(0.5, 0.5, z, 1j)
+            assert _residual(moved, -base) < 1e-12
 
     def test_batch(self):
         zs = np.array([0.1, 0.2 + 0.3j, -0.4j])
         batch = theta_odd_batch(zs, 1j)
         for z, v in zip(zs, batch):
-            assert abs(v - theta_odd(z, 1j)) < 1e-14
+            assert abs(v - jacobi_theta(0.5, 0.5, z, 1j)) < 1e-14
 
 
 class TestRiemannTheta:
@@ -247,24 +246,31 @@ class TestRiemannTheta:
 
 
 class TestTruncationPlan:
+    """The window's truncation: the shell-tail halfwidth and the box it spans."""
+
+    @staticmethod
+    def _halfwidths(om, tol):
+        # the shell-tail halfwidth the window is built from, and the window's
+        # own reach from the peak of a = 0 after the ellipsoid cut
+        lo, counts, _coeff = _window(om, ((0.0,) * om.g,), tol)
+        reach = max(max(-x, x + n - 1) for x, n in zip(lo, counts))
+        return _tail_halfwidth(om.lambda_min, om.g, tol / 2) + 1, reach
+
     def test_radius_scale(self):
         om = OmegaMatrix.create(1j * np.eye(2))
-        plan = truncation_plan(om, (0.0, 0.0), 1e-13)
         # solving exp(-pi R^2) = 1e-13 gives R ~ 3.08; the integer window
         # sits just above, plus one cell of margin
-        assert 4 <= plan.halfwidth <= 7
+        for halfwidth in self._halfwidths(om, 1e-13):
+            assert 4 <= halfwidth <= 7
 
     def test_monotone_in_tol(self):
         om = OmegaMatrix.create(1j * np.eye(2))
-        loose = truncation_plan(om, (0.0, 0.0), 1e-3)
-        tight = truncation_plan(om, (0.0, 0.0), 1e-13)
-        assert loose.halfwidth < tight.halfwidth
+        for loose, tight in zip(self._halfwidths(om, 1e-3), self._halfwidths(om, 1e-13)):
+            assert loose < tight
 
     def test_tail_halfwidth_matches_vector_sum(self):
         # the scalar search returns the r of the 256-shell numpy tail it replaced
         import math
-
-        from torushall.theta import _tail_halfwidth
 
         def reference(lam, g, tol):
             target = tol / 4.0
@@ -283,28 +289,27 @@ class TestTruncationPlan:
 
     def test_near_singular_finite(self):
         om = OmegaMatrix.create(1j * np.diag([1e-3, 1.0]))
-        plan = truncation_plan(om, (0.0, 0.0), 1e-10)
-        assert isinstance(plan.halfwidth, int) and plan.halfwidth < 10000
+        for halfwidth in self._halfwidths(om, 1e-10):
+            assert isinstance(halfwidth, int) and halfwidth < 10000
 
     def test_doubling_window_self_consistent(self, rng):
-        # enlarging the summation window must not move the value by more
-        # than the requested tolerance
+        # doubling the halfwidth of the summation box, with no term cut, must
+        # not move the value by more than the requested tolerance
         om = OmegaMatrix.create(OMEGA_G2)
         chars = ThetaCharacteristics(a=(0.25, -0.5), b=(0.1, 0.7))
         tol = 1e-12
-        plan = truncation_plan(om, chars.a, tol)
-        wide = replace(plan, halfwidth=2 * plan.halfwidth)
-        b = np.asarray(chars.b)
+        wide = 2 * (_tail_halfwidth(om.lambda_min, om.g, tol / 2) + 1)
         for _ in range(10):
-            z = rng.uniform(-0.5, 0.5, size=2) + 1j * rng.uniform(-0.5, 0.5, size=2)
-            v1 = _theta_sum(om, plan, b, z[None, :])[0, 0]
-            v2 = _theta_sum(om, wide, b, z[None, :])[0, 0]
+            heights = rng.uniform(-0.5, 0.5, size=2)
+            z = rng.uniform(-0.5, 0.5, size=2) + 1j * (om.omega.imag @ heights)
+            v1 = _theta_sum(om, chars.a, (z + chars.b)[None, :], tol)[0, 0]
+            v2 = untrimmed_theta_sum(om, chars.a, wide, chars.b, z[None, :])[0, 0]
             assert v1 == riemann_theta_batch(chars, z[None, :], om, tol)[0]
             assert abs(v1 - v2) < tol
 
 
 class TestWindow:
-    """The kernel's window: the plan's box cut to the terms that can reach tol."""
+    """The kernel's window: the shell-tail box cut to the terms that can reach tol."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -329,31 +334,29 @@ class TestWindow:
         zr = z - om.omega @ np.rint(np.linalg.solve(y, z.imag))
         heights = np.linalg.solve(y, zr.imag)
         assume(np.all(np.abs(heights) < 0.5 - 1e-9))
-        plan = truncation_plan(om, chars, tol)
-        got = _theta_sum(om, plan, b, zr[None, :])[0]
-        want = untrimmed_theta_sum(om, plan, b, zr[None, :])[0]
+        got = _theta_sum(om, chars, (zr + b)[None, :], tol)[:, 0]
+        halfwidth = _tail_halfwidth(om.lambda_min, g, tol / 2) + 1
+        want = untrimmed_theta_sum(om, chars, halfwidth, b, zr[None, :])[:, 0]
         peak = math.exp(math.pi * heights @ y @ heights)
         assert np.max(np.abs(got - want)) <= tol / 8 * peak
 
     @staticmethod
     def _odd_window():
-        om = OmegaMatrix.create([[1j]])
-        return _window(om, truncation_plan(om, (0.5,), 1e-12), (0.5,))
+        return _window(OmegaMatrix.create([[1j]]), ((0.5,),), 1e-12)
 
     @staticmethod
     def _jain_center_window():
         # the center basis of jain(1,2) at tau = i: Theta[c, 0](. | i K) over the 3 cosets
         om = OmegaMatrix.create(1j * np.array([[2.0, 1.0], [1.0, 2.0]]))
-        cs = ((0.0, 0.0), (1 / 3, 1 / 3), (2 / 3, 2 / 3))
-        return _window(om, truncation_plan(om, cs, 1e-12), (0.0, 0.0))
+        return _window(om, ((0.0, 0.0), (1 / 3, 1 / 3), (2 / 3, 2 / 3)), 1e-12)
 
     def test_term_counts(self):
         # the untrimmed boxes held 12 and 196 terms
-        assert self._odd_window()[2].shape[0] <= 8
-        assert self._jain_center_window()[2].shape[0] <= 100
+        assert self._odd_window()[2].shape[1] <= 8
+        assert self._jain_center_window()[2].shape[1] <= 100
 
     def test_no_subnormal_coefficient(self):
-        # subnormal coefficients slow the (points x terms) product several-fold;
+        # subnormal coefficients slow the (terms x points) product several-fold;
         # the untrimmed jain(1,2) box held one of 1.03e-312
         for _lo, _counts, coeff in (self._odd_window(), self._jain_center_window()):
             kept = np.abs(coeff[coeff != 0])
@@ -371,8 +374,7 @@ class TestWindowCache:
         assert info.maxsize is not None and info.currsize <= info.maxsize
 
     def test_read_only(self):
-        om = OmegaMatrix.create(OMEGA_G2)
-        lo, counts, coeff = _window(om, truncation_plan(om, (0.25, -0.5), 1e-12), (0.1, 0.7))
+        lo, counts, coeff = _window(OmegaMatrix.create(OMEGA_G2), ((0.25, -0.5),), 1e-12)
         assert isinstance(lo, tuple) and isinstance(counts, tuple)
         with pytest.raises(ValueError):
             coeff[0, 0] = 1.0
@@ -387,3 +389,32 @@ class TestWindowCache:
         info = _window.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert cold.tobytes() == warm.tobytes()
+
+    @staticmethod
+    def _reduced_points(om, rng):
+        # five points with heights in (-1/2, 1/2)^g, and the box halfwidth the window is cut from
+        heights = rng.uniform(-0.3, 0.3, size=(5, om.g))
+        zs = rng.uniform(-0.5, 0.5, size=(5, om.g)) + 1j * heights @ om.omega.imag
+        return zs, _tail_halfwidth(om.lambda_min, om.g, 1e-12 / 2) + 1
+
+    def test_b_rides_in_z(self, rng):
+        # Theta[a, b](z) = Theta[a, 0](z + b): two values of b share one window
+        om = OmegaMatrix.create(OMEGA_G2)
+        zs, halfwidth = self._reduced_points(om, rng)
+        _window.cache_clear()
+        for b in ((0.1, 0.7), (-0.45, 0.2)):
+            got = riemann_theta_batch(ThetaCharacteristics(a=(0.25, -0.5), b=b), zs, om)
+            want = untrimmed_theta_sum(om, (0.25, -0.5), halfwidth, b, zs)[0]
+            assert np.max(np.abs(got - want)) < 1e-12
+        info = _window.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_characteristic_sets_kept_apart(self, rng):
+        # one Omega, two sets of characteristics in turn: the window is keyed by a too
+        om = OmegaMatrix.create(OMEGA_G2)
+        zs, halfwidth = self._reduced_points(om, rng)
+        for chars in (((0.0, 0.0), (0.5, 0.25)), ((1 / 3, 1 / 3), (-0.2, 0.4))):
+            got = _theta_sum(om, chars, zs, 1e-12)
+            want = untrimmed_theta_sum(om, chars, halfwidth, (0.0, 0.0), zs)
+            assert got.shape == (2, 5)
+            assert np.max(np.abs(got - want)) < 1e-12

@@ -10,7 +10,6 @@ from torushall.theta import (
     TorusParams,
     jacobi_theta,
     riemann_theta_batch,
-    theta_odd,
     theta_odd_batch,
 )
 from torushall.wavefunctions import (
@@ -101,7 +100,7 @@ def single_layer_reference(m, xi, tau, j, zs):
     d = 1.0 + 0.0j
     for p in range(len(zs)):
         for q in range(p + 1, len(zs)):
-            d *= theta_odd(zs[p] - zs[q], tau) ** m
+            d *= jacobi_theta(0.5, 0.5, zs[p] - zs[q], tau) ** m
     return center * d
 
 
@@ -185,7 +184,7 @@ class TestJastrow:
         want = 1.0 + 0j
         for p in range(n):
             for q in range(p + 1, n):
-                want *= theta_odd(zs[p] - zs[q], TAU) ** m
+                want *= jacobi_theta(0.5, 0.5, zs[p] - zs[q], TAU) ** m
         assert _residual(jastrow(datum, config), want) < 1e-12
 
     def test_swap_sign(self, rng):
