@@ -41,16 +41,24 @@ The series is truncated and summed in one place.  For real b,
 Theta[a,b](z) = Theta[a,0](z + b) term by term, so the entry points pass
 z + b and the kernel `_theta_sum(omega, a, z, tol)` sums Theta[a_j,0] for
 every characteristic a_j at once:
-Theta[a,0](z') = exp(2 pi i a' z') sum_k coeff_a(k) exp(2 pi i k' z'), and
-the phases exp(2 pi i k' z') are shared.  Per axis they cost two `exp` per
-point; the other powers are repeated products, combined on the box as a
-product grid with the points as the inner axis.  One
-(characteristics x terms) @ (terms x points) product then sums every
-characteristic, and the values come out as (d, M); chunks of points keep
-the phase matrix near 2^16 entries.  `lattice_terms` builds the window at
-tol with the exponents pi i (k+a)' Omega (k+a) + 2 pi i (k+a)' b, -inf for
-the terms cut; the kernel takes its origin, counts and read-only
-coefficients at b = 0 from a bounded cache keyed by the value of
+Theta[a,0](z') = sum_k coeff_a(k) exp(2 pi i (k+a)' z').  With the
+window's first corner lo, its counts N_i and mid = N // 2, each phase
+splits into exp(2 pi i (a + lo + mid)' z') times the product over the axes
+of u_i^(k_i - lo_i - mid_i), u_i = exp(2 pi i z'_i).  So a point costs
+g + d complex `exp`: one u_i per axis, and one prefactor per
+characteristic that folds the middle phase into the reduction factor.
+The powers of u_i form one (N_i x points) table per axis, built outward
+from the middle one row product at a time.  The coefficients, as
+(d N_1 ... N_{g-1}) x N_g, are multiplied by the last axis's table and
+each remaining axis is contracted in turn, so the (terms x points) grid of
+the whole box is never formed; the values come out as (d, M).  The points
+go in chunks, each reduced on its own, that keep the largest temporary
+(the first contraction or one table) near 2^16 entries.
+
+`lattice_terms` builds the window at tol with the exponents
+pi i (k+a)' Omega (k+a) + 2 pi i (k+a)' b, -inf for the terms cut; the
+kernel takes its counts, middle phases and read-only coefficients at
+b = 0 from a bounded cache keyed by the value of
 (Omega, characteristics, tol), so the replicates of a QMC Gram build it
 once.  `riemann_theta_batch` is the kernel for one characteristic,
 `jacobi_theta_batch` its g = 1 case with Omega = [[tau]].
@@ -65,7 +73,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,7 +95,7 @@ class ToleranceTooSmallError(ValueError):
 
 
 MIN_TOL = 1e-14
-_CHUNK = 1 << 16  # phase-matrix entries per chunk of points
+_CHUNK = 1 << 16  # entries of the largest temporary per chunk of points
 
 
 @dataclass(frozen=True)
@@ -248,31 +256,49 @@ def lattice_terms(
 _WINDOWS = 64
 
 
-@functools.lru_cache(maxsize=_WINDOWS)
-def _window(
-    omega: OmegaMatrix, a: tuple[tuple[float, ...], ...], tol: float
-) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """``lattice_terms``' window at b = 0 as (origin, counts per axis, read-only coefficients).
+class _Window(NamedTuple):
+    """``lattice_terms``' window at b = 0, read-only, with what the kernel derives from it.
 
-    The coefficients, (d, N), are the exponentials of the exponents, exact
-    zeros for the terms cut.
+    counts is the window's extent per axis.  With lo its first corner,
+    row j of phase is 2 pi i (a_j + lo + mid), mid = counts // 2, so that
+    the middle term's phase is exp(phase[j] . z).  coeff, (d, N), holds the
+    exponentials of the exponents, exact zeros for the terms cut.
     """
+
+    counts: tuple[int, ...]
+    phase: np.ndarray
+    coeff: np.ndarray
+
+
+@functools.lru_cache(maxsize=_WINDOWS)
+def _window(omega: OmegaMatrix, a: tuple[tuple[float, ...], ...], tol: float) -> _Window:
+    """The window of ``_theta_sum`` for (Omega, characteristics, tol), built on a cache miss."""
     ks, expo = lattice_terms(omega, a, np.zeros(omega.g), tol)
+    lo, hi = ks[0].tolist(), ks[-1].tolist()
+    counts = tuple(top - bottom + 1 for bottom, top in zip(lo, hi))
+    middle = [bottom + n // 2 for bottom, n in zip(lo, counts)]
+    phase = np.array([[2j * math.pi * (x + c) for x, c in zip(aj, middle)] for aj in a])
     coeff = np.exp(expo)
-    coeff.setflags(write=False)
-    return tuple(ks[0].tolist()), tuple(int(n) for n in ks[-1] - ks[0] + 1), coeff
+    for arr in (phase, coeff):
+        arr.setflags(write=False)
+    return _Window(counts, phase, coeff)
 
 
-def _axis_powers(z: np.ndarray, lo: float, count: int) -> np.ndarray:
-    """exp(2 pi i k z), k = lo .. lo + count - 1, as (count, M) products outward from the middle."""
+def _axis_powers(u: np.ndarray, count: int) -> np.ndarray:
+    """u^(k - mid), k = 0 .. count - 1 and mid = count // 2, as a (count, M) array.
+
+    Row mid is ones; each other row is its neighbour towards the middle
+    times u or 1/u, one contiguous row at a time.
+    """
     mid = count // 2
-    u = np.exp(2j * np.pi * z)
-    out = np.empty((count, z.shape[0]), dtype=complex)
-    out[mid + 1 :] = u
-    out[:mid] = 1 / u
-    out[mid] = np.exp(2j * np.pi * (lo + mid) * z)
-    np.multiply.accumulate(out[mid:], axis=0, out=out[mid:])
-    np.multiply.accumulate(out[mid::-1], axis=0, out=out[mid::-1])
+    out = np.empty((count, u.shape[0]), dtype=complex)
+    out[mid] = 1
+    for k in range(mid + 1, count):
+        np.multiply(out[k - 1], u, out=out[k])
+    if mid:
+        inv = 1 / u
+        for k in range(mid - 1, -1, -1):
+            np.multiply(out[k + 1], inv, out=out[k])
     return out
 
 
@@ -280,27 +306,34 @@ def _theta_sum(omega: OmegaMatrix, a, z: np.ndarray, tol: float) -> np.ndarray:
     """Theta[a_j, 0](z | Omega) for each characteristic a_j of a, one or a (d, g) array.
 
     z is an (M, g) array; returns a (d, M) array.  Theta[a, b](z) for a
-    real b is Theta[a, 0](z + b).
+    real b is Theta[a, 0](z + b).  Per chunk of points: its own reduction,
+    g + d complex exp per point, then one axis contracted at a time, the last first.
     """
     chars = np.atleast_2d(np.asarray(a, dtype=float))
     # one window for every reduced height in [-1/2, 1/2]^g, so that each value
     # does not depend on the other points
-    lo, counts, coeff = _window(omega, tuple(map(tuple, chars.tolist())), tol)
-    out = np.empty((chars.shape[0], z.shape[0]), dtype=complex)
-    if not out.size:
-        return out
-    m = np.rint(z.imag @ omega.yinv.T)
-    zr = z - m @ omega.omega
-    factor = np.exp(-1j * np.pi * np.sum(m * (z + zr), axis=1))
-    step = max(1, _CHUNK // coeff.shape[1])
+    win = _window(omega, tuple(map(tuple, chars.tolist())), tol)
+    counts, rows = win.counts, win.coeff.reshape(-1, win.counts[-1])
+    out = np.empty((win.coeff.shape[0], z.shape[0]), dtype=complex)
+    # the largest temporary per point: the first contraction or one power table
+    step = max(1, _CHUNK // max(rows.shape[0], *counts))
     for s in range(0, z.shape[0], step):
-        zc = zr[s : s + step]
-        phases = _axis_powers(zc[:, 0], lo[0], counts[0])
-        for i in range(1, omega.g):
-            axis = _axis_powers(zc[:, i], lo[i], counts[i])
-            phases = (phases[:, None, :] * axis[None, :, :]).reshape(-1, zc.shape[0])
-        out[:, s : s + step] = (coeff @ phases) * np.exp(2j * np.pi * (chars @ zc.T))
-    out *= factor
+        zc = z[s : s + step].T
+        m = np.rint(omega.yinv @ zc.imag)
+        # einsum, unlike BLAS, rounds a point alike in every batch
+        zr = zc - np.einsum("ij,jm->im", omega.omega, m)
+        u = np.exp(2j * np.pi * zr)
+        # exp(-pi i m'(z + z')) exp(2 pi i (a_j + lo + mid) . z'), taken before the
+        # product: on AVX-512 OpenBLAS a complex exp straight after a complex
+        # matrix product runs about 12 times slower
+        pref = np.exp(
+            np.einsum("ji,im->jm", win.phase, zr) - 1j * np.pi * (m * (zc + zr)).sum(axis=0)
+        )
+        acc = rows @ _axis_powers(u[-1], counts[-1])
+        for i in range(omega.g - 2, -1, -1):
+            table = _axis_powers(u[i], counts[i])
+            acc = np.einsum("anm,nm->am", acc.reshape(-1, counts[i], acc.shape[1]), table)
+        out[:, s : s + step] = acc * pref
     return out
 
 

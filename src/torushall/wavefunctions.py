@@ -27,6 +27,7 @@ array, each row in layer order: the n_1 coordinates of layer 1 first.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -59,6 +60,11 @@ class WaveFunctionSpec:
         return self.datum.matrix.g
 
     def omega(self) -> OmegaMatrix:
+        """Omega = tau K of the center basis, built once per spec."""
+        return self._omega
+
+    @functools.cached_property
+    def _omega(self) -> OmegaMatrix:
         K = np.array(self.datum.matrix.entries, dtype=float)
         return OmegaMatrix.create(self.torus.tau * K)
 

@@ -14,11 +14,13 @@ from torushall.theta import (
     OmegaMatrix,
     ThetaCharacteristics,
     ToleranceTooSmallError,
+    _axis_powers,
     _tail_halfwidth,
     _theta_sum,
     _window,
     jacobi_theta,
     jacobi_theta_batch,
+    lattice_terms,
     riemann_theta,
     riemann_theta_batch,
     theta_odd_batch,
@@ -252,8 +254,8 @@ class TestTruncationPlan:
     def _halfwidths(om, tol):
         # the shell-tail halfwidth the window is built from, and the window's
         # own reach from the peak of a = 0 after the ellipsoid cut
-        lo, counts, _coeff = _window(om, ((0.0,) * om.g,), tol)
-        reach = max(max(-x, x + n - 1) for x, n in zip(lo, counts))
+        ks, _expo = lattice_terms(om, (0.0,) * om.g, np.zeros(om.g), tol)
+        reach = int(max(-ks[0].min(), ks[-1].max()))
         return _tail_halfwidth(om.lambda_min, om.g, tol / 2) + 1, reach
 
     def test_radius_scale(self):
@@ -340,6 +342,19 @@ class TestWindow:
         peak = math.exp(math.pi * heights @ y @ heights)
         assert np.max(np.abs(got - want)) <= tol / 8 * peak
 
+    def test_g3_against_untrimmed_box(self, rng):
+        # three axes contracted one at a time, several characteristics and points
+        om = random_omega(rng, 3)
+        chars = ((0.0, 0.0, 0.0), (0.25, -0.5, 1 / 3), (-0.4, 0.1, 0.45))
+        heights = rng.uniform(-0.5, 0.5, size=(9, 3))
+        zs = rng.uniform(-0.5, 0.5, size=(9, 3)) + 1j * heights @ om.omega.imag
+        got = _theta_sum(om, chars, zs, 1e-12)
+        halfwidth = _tail_halfwidth(om.lambda_min, om.g, 1e-12 / 2) + 1
+        want = untrimmed_theta_sum(om, chars, halfwidth, (0.0, 0.0, 0.0), zs)
+        peak = np.exp(np.pi * np.einsum("mi,ij,mj->m", heights, om.omega.imag, heights))
+        assert got.shape == (3, 9)
+        assert np.all(np.abs(got - want) <= 1e-12 / 8 * peak)
+
     @staticmethod
     def _odd_window():
         return _window(OmegaMatrix.create([[1j]]), ((0.5,),), 1e-12)
@@ -352,14 +367,14 @@ class TestWindow:
 
     def test_term_counts(self):
         # the untrimmed boxes held 12 and 196 terms
-        assert self._odd_window()[2].shape[1] <= 8
-        assert self._jain_center_window()[2].shape[1] <= 100
+        assert self._odd_window().coeff.shape[1] <= 8
+        assert self._jain_center_window().coeff.shape[1] <= 100
 
     def test_no_subnormal_coefficient(self):
         # subnormal coefficients slow the (terms x points) product several-fold;
         # the untrimmed jain(1,2) box held one of 1.03e-312
-        for _lo, _counts, coeff in (self._odd_window(), self._jain_center_window()):
-            kept = np.abs(coeff[coeff != 0])
+        for win in (self._odd_window(), self._jain_center_window()):
+            kept = np.abs(win.coeff[win.coeff != 0])
             assert kept.min() >= np.finfo(float).tiny
 
 
@@ -374,10 +389,11 @@ class TestWindowCache:
         assert info.maxsize is not None and info.currsize <= info.maxsize
 
     def test_read_only(self):
-        lo, counts, coeff = _window(OmegaMatrix.create(OMEGA_G2), ((0.25, -0.5),), 1e-12)
-        assert isinstance(lo, tuple) and isinstance(counts, tuple)
-        with pytest.raises(ValueError):
-            coeff[0, 0] = 1.0
+        win = _window(OmegaMatrix.create(OMEGA_G2), ((0.25, -0.5),), 1e-12)
+        assert isinstance(win.counts, tuple)
+        for arr in (win.phase, win.coeff):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
 
     def test_cold_and_warm_bit_identical(self, rng):
         chars = ThetaCharacteristics(a=(0.25, -0.5), b=(0.1, 0.7))
@@ -418,3 +434,46 @@ class TestWindowCache:
             want = untrimmed_theta_sum(om, chars, halfwidth, (0.0, 0.0), zs)
             assert got.shape == (2, 5)
             assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestKernel:
+    """The kernel's parts: the power tables and the chunks of points."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 8])
+    def test_axis_powers(self, count, rng):
+        # reduced points: heights in [-1/2, 1/2] at Im tau up to 2
+        z = rng.uniform(-1, 1, size=50) + 1j * rng.uniform(-1, 1, size=50)
+        got = _axis_powers(np.exp(2j * np.pi * z), count)
+        powers = np.arange(count) - count // 2
+        want = np.exp(2j * np.pi * powers[:, None] * z[None, :])
+        assert got.shape == (count, 50)
+        assert np.all(got[count // 2] == 1)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_chunks_match_single_points(self, g, rng, monkeypatch):
+        # a batch over at least three chunks, the last one ragged, with heights
+        # over several periods: each chunk reduces its own points
+        from torushall import theta
+
+        om = random_omega(rng, g)
+        chars = tuple(tuple(rng.uniform(-0.5, 0.5, size=g)) for _ in range(3))
+        heights = rng.uniform(-3, 3, size=(11, g))
+        zs = rng.uniform(-2, 2, size=(11, g)) + 1j * heights @ om.omega.imag
+        win = _window(om, chars, 1e-12)
+        monkeypatch.setattr(theta, "_CHUNK", 3 * max(win.coeff.size // win.counts[-1], *win.counts))
+        sizes = []
+
+        def recorded(u, count):
+            sizes.append(u.shape[0])
+            return _axis_powers(u, count)
+
+        monkeypatch.setattr(theta, "_axis_powers", recorded)
+        got = _theta_sum(om, chars, zs, 1e-12)
+        assert sizes[::g] == [3, 3, 3, 2]
+        m = np.rint(heights)
+        assert sum(np.any(m[s : s + 3] != 0) for s in range(0, 11, 3)) >= 2
+        peak = np.exp(np.pi * np.einsum("mi,ij,mj->m", heights, om.omega.imag, heights))
+        for i, z in enumerate(zs):
+            one = _theta_sum(om, chars, z[None, :], 1e-12)[:, 0]
+            assert np.all(np.abs(got[:, i] - one) <= 1e-15 * peak[i])

@@ -6,6 +6,7 @@ import pytest
 from conftest import pi_add, u_class, upsilon
 from torushall import checks
 from torushall.theta import (
+    OmegaMatrix,
     ThetaCharacteristics,
     TorusParams,
     jacobi_theta,
@@ -165,6 +166,25 @@ class TestCenterBasis:
                 lhs = center_basis(spec, c, w + np.array([float(x) for x in a]))
                 rhs = upsilon(a, c, K) * center_basis(spec, c, w)
                 assert _residual(lhs, rhs) < 1e-11
+
+
+    def test_omega_built_once_per_spec(self, monkeypatch):
+        # every center-basis call of one spec reuses its Omega = tau K; equality
+        # and hash still come from the datum, xi and modulus alone
+        from torushall import wavefunctions
+
+        built = []
+        create = OmegaMatrix.create
+        monkeypatch.setattr(
+            wavefunctions.OmegaMatrix, "create", lambda om: built.append(1) or create(om)
+        )
+        spec = _spec([[2, 1], [1, 2]], (1, 1), (0.1j, 0.2))
+        fresh = _spec([[2, 1], [1, 2]], (1, 1), (0.1j, 0.2))
+        for _ in range(3):
+            center_basis_values(spec, pi_group(spec.datum.matrix).elements, np.zeros((2, 2)))
+        assert spec.omega() is spec.omega() and len(built) == 1
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert spec.omega() == OmegaMatrix.create(TAU.tau * np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
 class TestJastrow:
