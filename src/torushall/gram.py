@@ -61,7 +61,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .heisenberg import rep_matrices
-from .theta import OmegaMatrix, TorusParams, _tail_halfwidth, lattice_terms
+from .theta import OmegaMatrix, TorusParams, _tail_halfwidth, _window
 from .wavefunctions import WaveFunctionSpec, phi_values
 from .wavefunctions import center_basis_batch  # noqa: F401  bench/test_bench.py wraps it here
 from .wen import PiElement, WenMatrix, pi_group
@@ -94,8 +94,10 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if min(self.samples, self.replicates) <= 0:
+        if self.samples <= 0:
             raise ValueError("quadrature sizes must be positive")
+        if self.replicates < 2:
+            raise ValueError("the replicate standard error needs at least 2 replicates")
 
 
 @dataclass
@@ -232,25 +234,28 @@ def _rule_points(kmat, modulus: int, t: float, tol: float) -> tuple[int, float]:
 
 def _center_terms(
     K: WenMatrix, xi, tp: TorusParams, cs: Sequence[PiElement], tol: float
-) -> dict[PiElement, tuple[np.ndarray, np.ndarray]]:
-    """Frequencies and log coefficients of the lattice terms of each H_c.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Frequencies and log coefficients of the lattice terms of each H_c, c in cs.
 
     Each lattice term of H_c = Theta[c,0](K(x + tau y) + xi | tau K) is
     C_k exp(2 pi i m_k.x) exp(2 pi i tau m_k.y) with the integer frequency
-    m_k = K(k + c) and log C_k its exponent from ``lattice_terms``, whose
-    window serves the heights y in [0, 1]^g and leaves out the terms that
-    cannot reach tol there.
+    m_k = K(k + c) and log C_k = log coeff_c(k) + 2 pi i (k + c).xi.  The
+    terms and coefficients are those of the theta kernel's cached window for
+    (tau K, cs, tol), which holds at heights y + K^{-1}a in [-1/2, 1/2]^g
+    (see ``_gram_center_at``) and leaves out the terms that cannot reach tol
+    there.  Returns one (m, log C) pair per coset, in the order of cs.
     """
     kmat = np.array(K.entries, dtype=float)
-    omega = OmegaMatrix.create(tp.tau * kmat)
+    chars = np.array(cs, dtype=float)
+    win = _window(OmegaMatrix.create(tp.tau * kmat), tuple(map(tuple, chars.tolist())), tol)
+    ks = np.indices(win.counts).reshape(K.g, -1).T + win.lo
     xiv = np.asarray(xi, dtype=complex)
-    terms = {}
-    for c in cs:
-        cf = np.array([float(q) for q in c])
-        ks, expo = lattice_terms(omega, cf, xiv, tol, mid=0.5)
-        kept = expo[0].real > -np.inf
-        m = np.rint((ks[kept] + cf[None, :]) @ kmat.T)  # integral, because K c is
-        terms[c] = (m.astype(int), expo[0, kept])
+    terms = []
+    for cf, coeff in zip(chars, win.coeff):
+        kept = coeff != 0
+        ka = ks[kept] + cf[None, :]
+        m = np.rint(ka @ kmat.T)  # integral, because K c is
+        terms.append((m.astype(int), np.log(coeff[kept]) + 2j * np.pi * (ka @ xiv)))
     return terms
 
 
@@ -259,14 +264,19 @@ def _gram_center_at(
     xi,
     tp: TorusParams,
     cs: Sequence[PiElement],
-    terms: dict[PiElement, tuple[np.ndarray, np.ndarray]],
+    terms: Sequence[tuple[np.ndarray, np.ndarray]],
     p: int,
 ) -> np.ndarray:
     """Midpoint-rule Gram at p points per axis, with no value on the p^g x p^g grid.
 
-    At the nodes x_q = (q + 1/2)/p with weight 1/p, the x-sum of
-    exp(2 pi i n x) is exp(pi i n/p) [p divides n] = (-1)^(n/p) [p divides n].
-    The x-sum of a pair of lattice terms (m_ik, m_jl) is therefore
+    The integrand h H_i conj(H_j) is 1-periodic in each y_j (moving y by e_j
+    multiplies every H_c by one factor free of c, and h by the inverse of its
+    squared modulus), so each height node y may move by rint(y + K^{-1}a),
+    a = Im xi / t: the sum is the same, and every y + K^{-1}a then lies in
+    [-1/2, 1/2]^g, where the window of ``_center_terms`` holds.  At the nodes
+    x_q = (q + 1/2)/p with weight 1/p, the x-sum of exp(2 pi i n x) is
+    exp(pi i n/p) [p divides n] = (-1)^(n/p) [p divides n].  The x-sum of a
+    pair of lattice terms (m_ik, m_jl) is therefore
     (-1)^(sum_a (m_ik - m_jl)_a / p) when m_ik = m_jl (mod p) on every axis,
     and 0 otherwise.  Writing m = r + p w with the residue r in [0, p)^g, the
     sign is (-1)^(sum w_ik) (-1)^(sum w_jl), so it splits over the pair.  With
@@ -279,10 +289,12 @@ def _gram_center_at(
     """
     g = K.g
     ygrid = _tensor_grid(midpoint_nodes(p), g)
+    kinv_a = np.linalg.solve(np.array(K.entries, dtype=float), np.asarray(xi).imag / tp.t)
+    ygrid -= np.rint(ygrid + kinv_a)
     half_log_wy = 0.5 * (_log_height_weight(K.entries, xi, tp, ygrid) - g * math.log(p))
     place = p ** np.arange(g)
-    sums = {}
-    for c, (m, log_c) in terms.items():
+    sums = []
+    for m, log_c in terms:
         e = (m @ ygrid.T) * (2j * np.pi * tp.tau)
         e += log_c[:, None]
         e += half_log_wy
@@ -294,18 +306,18 @@ def _gram_center_at(
         codes, rows = np.unique(residues @ place, return_inverse=True)
         f = np.zeros((codes.size, ygrid.shape[0]), dtype=complex)
         np.add.at(f, rows, e)
-        sums[c] = (codes, f)
+        sums.append((codes, f))
 
     d = len(cs)
     gmat = np.empty((d, d), dtype=complex)
     for i in range(d):
-        f = sums[cs[i]][1]
+        f = sums[i][1]
         gmat[i, i] = np.vdot(f, f).real
         for j in range(i + 1, d):
             # orient each pair by basis value, not slot, so a permuted
             # basis order reproduces bit-identical estimates
             lo, hi = (i, j) if cs[i] <= cs[j] else (j, i)
-            (codes_lo, f_lo), (codes_hi, f_hi) = sums[cs[lo]], sums[cs[hi]]
+            (codes_lo, f_lo), (codes_hi, f_hi) = sums[lo], sums[hi]
             _, r_hi, r_lo = np.intersect1d(
                 codes_hi, codes_lo, assume_unique=True, return_indices=True
             )
@@ -389,7 +401,7 @@ def gram_center(
     cs = pi_group(K).elements
     p, bound = _rule_points(K.entries, K.delta, tp.t, tol)
     terms = _center_terms(K, xi, tp, cs, tol)
-    formed = sum(m.shape[0] for m, _ in terms.values()) * p**K.g
+    formed = sum(m.shape[0] for m, _ in terms) * p**K.g
     if formed > DEFAULT_BUDGET:
         raise SamplingBudgetExceededError(
             f"{formed} term x height-node entries at p = {p} exceed the budget {DEFAULT_BUDGET}"

@@ -55,14 +55,15 @@ the whole box is never formed; the values come out as (d, M).  The points
 go in chunks, each reduced on its own, that keep the largest temporary
 (the first contraction or one table) near 2^16 entries.
 
-`lattice_terms` builds the window at tol with the exponents
-pi i (k+a)' Omega (k+a) + 2 pi i (k+a)' b, -inf for the terms cut; the
-kernel takes its counts, middle phases and read-only coefficients at
-b = 0 from a bounded cache keyed by the value of
-(Omega, characteristics, tol), so the replicates of a QMC Gram build it
-once.  `riemann_theta_batch` is the kernel for one characteristic,
-`jacobi_theta_batch` its g = 1 case with Omega = [[tau]].
-The center-of-mass Gram takes its window from `lattice_terms` too.  No tol
+`_window` builds the window once per value of (Omega, characteristics,
+tol), in a bounded cache: its first corner, counts, middle phases and the
+read-only coefficients exp(pi i (k+a)' Omega (k+a)), zero for the terms
+cut.  The kernel reads it, so the replicates of a QMC Gram build it once,
+and so does the center-of-mass Gram, which takes the window's terms for
+its heights moved into [-1/2, 1/2]^g: `gram_center` and
+`center_basis_values` share one window per (tau K, cosets, tol).
+`riemann_theta_batch` is the kernel for one characteristic,
+`jacobi_theta_batch` its g = 1 case with Omega = [[tau]].  No tol
 below MIN_TOL = 1e-14 is accepted: below it, rounding in double arithmetic
 alone can exceed the bound.
 """
@@ -196,75 +197,22 @@ def _tail_halfwidth(lambda_min: float, g: int, tol: float) -> int:
     raise RuntimeError("truncation search did not converge")
 
 
-def lattice_terms(
-    omega: OmegaMatrix, a, b, tol: float, mid: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integer points of the window at tol, with the exponents of its terms per characteristic.
-
-    a is one characteristic or a (d, g) array of them.  The terms are
-    exp(pi i ka' Omega ka + 2 pi i ka . (z + b)) at ka = k + a_j, at points
-    z whose heights Y^{-1} Im z lie in mid + [-1/2, 1/2]^g; b may be complex.
-    Returns ks, the window's (N, g) integer points in row-major order
-    (ks[0] and ks[-1] are the corners), and expo, (d, N) with row j the
-    exponent pi i ka' Omega ka + 2 pi i ka . b, or -inf where the term
-    cannot reach tol.
-
-    With c = Y^{-1} Im b + mid and h = Y^{-1} Im z - mid, term ka has
-    modulus exp(-pi |ka + c + h|_Y^2) times exp(pi |c + h|_Y^2), the largest
-    any term has there, and |h|_Y <= rho = sqrt(sum |Y_ij|) / 2.  The box,
-    of N points, covers every peak -a_j - c - h widened by the halfwidth
-    whose shell tail is below tol/8; inside it, (k, a_j) is cut where
-    |ka + c|_Y >= rho + s, as there the term is below eps times the
-    largest, eps = exp(-pi s^2) = tol / (8 N).
-    """
-    if not MIN_TOL <= tol < math.inf:
-        raise ToleranceTooSmallError(f"tol = {tol:g} must be finite and at least {MIN_TOL:g}")
-    g = omega.g
-    chars = np.atleast_2d(np.asarray(a, dtype=float))
-    if chars.shape[1] != g:
-        raise ValueError(f"characteristics must have g = {g} entries each")
-    # the shell tail at tol/8: _tail_halfwidth bounds it by a quarter of its tol
-    hw = _tail_halfwidth(omega.lambda_min, g, tol / 2) + 1
-    y, bb = omega.omega.imag, np.asarray(b)
-    shift = omega.yinv @ bb.imag + mid
-    centers = -chars - shift  # (d, g): the peaks at the middle height
-    cmin, cmax = centers.min(axis=0).tolist(), centers.max(axis=0).tolist()
-    lo = [math.floor(c - 0.5) - hw for c in cmin]
-    hi = [math.ceil(c + 0.5) + hw for c in cmax]
-    size = math.prod(top - bottom + 1 for bottom, top in zip(lo, hi))
-    radius = 0.5 * math.sqrt(np.abs(y).sum()) + math.sqrt(math.log(8 * size / tol) / math.pi)
-    # the box cut to the bounding box of the kept ellipsoids
-    reach = (radius * np.sqrt(omega.yinv.diagonal())).tolist()
-    lo = [max(bottom, math.ceil(c - r)) for bottom, c, r in zip(lo, cmin, reach)]
-    hi = [min(top, math.floor(c + r)) for top, c, r in zip(hi, cmax, reach)]
-    ks = np.indices([top - bottom + 1 for bottom, top in zip(lo, hi)]).reshape(g, -1).T + lo
-    expo = np.empty((chars.shape[0], ks.shape[0]), dtype=complex)
-    # Re expo - ka . slope = -pi |ka + c|_Y^2 + pi |c|_Y^2, cut where below -pi radius^2
-    slope = 2 * np.pi * mid * y.sum(axis=1)
-    floor = math.pi * (shift @ y @ shift - radius**2)
-    for j, aj in enumerate(chars):
-        ka = ks + aj[None, :]
-        quad = np.einsum("ij,jk,ik->i", ka, omega.omega, ka)
-        e = 1j * np.pi * quad + 2j * np.pi * (ka @ bb)
-        e[e.real - ka @ slope <= floor] = -np.inf
-        expo[j] = e
-    return ks, expo
-
-
-# the windows of _theta_sum kept, by value of (Omega, characteristics, tol);
-# bounded, because callers such as the law checks draw a new Omega for every sample
+# the windows kept, by value of (Omega, characteristics, tol); bounded, because
+# callers such as the law checks draw a new Omega for every sample
 _WINDOWS = 64
 
 
 class _Window(NamedTuple):
-    """``lattice_terms``' window at b = 0, read-only, with what the kernel derives from it.
+    """The window at tol for (Omega, characteristics), read-only.
 
-    counts is the window's extent per axis.  With lo its first corner,
-    row j of phase is 2 pi i (a_j + lo + mid), mid = counts // 2, so that
-    the middle term's phase is exp(phase[j] . z).  coeff, (d, N), holds the
-    exponentials of the exponents, exact zeros for the terms cut.
+    Its terms are k = lo + (i_1, ..., i_g), 0 <= i_n < counts[n], in
+    row-major order.  Row j of phase is 2 pi i (a_j + lo + mid),
+    mid = counts // 2, so that the middle term's phase is exp(phase[j] . z).
+    coeff, (d, N), holds exp(pi i ka' Omega ka) at ka = k + a_j, exact zeros
+    for the terms cut.
     """
 
+    lo: tuple[int, ...]
     counts: tuple[int, ...]
     phase: np.ndarray
     coeff: np.ndarray
@@ -272,16 +220,43 @@ class _Window(NamedTuple):
 
 @functools.lru_cache(maxsize=_WINDOWS)
 def _window(omega: OmegaMatrix, a: tuple[tuple[float, ...], ...], tol: float) -> _Window:
-    """The window of ``_theta_sum`` for (Omega, characteristics, tol), built on a cache miss."""
-    ks, expo = lattice_terms(omega, a, np.zeros(omega.g), tol)
-    lo, hi = ks[0].tolist(), ks[-1].tolist()
+    """The window of every lattice sum at heights Y^{-1} Im z in [-1/2, 1/2]^g, built on a miss.
+
+    At height h, term ka has modulus exp(-pi |ka + h|_Y^2) times exp(pi |h|_Y^2),
+    the largest any term has there, and |h|_Y <= rho = sqrt(sum |Y_ij|) / 2.
+    The box, of N points, covers every peak -a_j - h widened by the halfwidth
+    whose shell tail is below tol/8; inside it, (k, a_j) is cut where
+    Re(pi i ka' Omega ka) <= -pi (rho + s)^2, as there the term is below eps
+    times the largest, eps = exp(-pi s^2) = tol / (8 N).
+    """
+    if not MIN_TOL <= tol < math.inf:
+        raise ToleranceTooSmallError(f"tol = {tol:g} must be finite and at least {MIN_TOL:g}")
+    g = omega.g
+    chars = np.array(a, dtype=float)
+    if chars.shape[1] != g:
+        raise ValueError(f"characteristics must have g = {g} entries each")
+    # the shell tail at tol/8: _tail_halfwidth bounds it by a quarter of its tol
+    hw = _tail_halfwidth(omega.lambda_min, g, tol / 2) + 1
+    cmin, cmax = (-chars).min(axis=0).tolist(), (-chars).max(axis=0).tolist()
+    lo = [math.floor(c - 0.5) - hw for c in cmin]
+    hi = [math.ceil(c + 0.5) + hw for c in cmax]
+    size = math.prod(top - bottom + 1 for bottom, top in zip(lo, hi))
+    rho = 0.5 * math.sqrt(np.abs(omega.omega.imag).sum())
+    radius = rho + math.sqrt(math.log(8 * size / tol) / math.pi)
+    # the box cut to the bounding box of the kept ellipsoids
+    reach = (radius * np.sqrt(omega.yinv.diagonal())).tolist()
+    lo = tuple(max(bottom, math.ceil(c - r)) for bottom, c, r in zip(lo, cmin, reach))
+    hi = [min(top, math.floor(c + r)) for top, c, r in zip(hi, cmax, reach)]
     counts = tuple(top - bottom + 1 for bottom, top in zip(lo, hi))
+    ka = (np.indices(counts).reshape(g, -1).T + lo)[None, :, :] + chars[:, None, :]
+    expo = 1j * np.pi * np.einsum("dni,ij,dnj->dn", ka, omega.omega, ka)
+    expo[expo.real <= -math.pi * radius**2] = -np.inf
     middle = [bottom + n // 2 for bottom, n in zip(lo, counts)]
     phase = np.array([[2j * math.pi * (x + c) for x, c in zip(aj, middle)] for aj in a])
     coeff = np.exp(expo)
     for arr in (phase, coeff):
         arr.setflags(write=False)
-    return _Window(counts, phase, coeff)
+    return _Window(lo, counts, phase, coeff)
 
 
 def _axis_powers(u: np.ndarray, count: int) -> np.ndarray:

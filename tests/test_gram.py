@@ -32,6 +32,12 @@ from torushall.wen import (
 )
 
 TAU = TorusParams(0.2 + 0.9j)
+README_K = [[3, 2], [2, 3]]
+K_G3 = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+# xi, by g, with K^-1 a outside [-1/2, 1/2]^g at Im tau 0.9 and 1.1; at 1.1,
+# K^-1 a is (0.55, -0.45) for README_K and (0.6, -0.3, -0.3) for K_G3 and for
+# [[3, 2, 2], [2, 3, 2], [2, 2, 3]]
+XI_FAR = {2: (0.2 + 0.825j, -0.1 - 0.275j), 3: (0.1 + 0.66j, -0.2 - 0.33j, 0.05 - 0.33j)}
 
 
 def center_fn(K, xi, tau, c):
@@ -186,27 +192,45 @@ class TestInnerProductCenter:
                 direct = inner_product_center(K, xi, tau, fns[i], fns[j], p)
                 assert abs(direct - report.matrix[i, j]) < 1e-12
 
-    def test_matches_fast_path_two_layers(self):
-        # g = 2 matches frequency residues and wrap signs on both axes
-        K = jain_matrix(1, 2)
+    @pytest.mark.parametrize(
+        "rows,xi",
+        [
+            pytest.param([[2, 1], [1, 2]], (0.15 + 0.1j, -0.2 + 0.25j), id="jain12"),
+            pytest.param(README_K, (0.1 + 0.9j, -0.3 + 0.7j), id="readme"),
+            pytest.param(README_K, XI_FAR[2], id="readme-far"),
+            pytest.param(K_G3, XI_FAR[3], id="g3-far"),
+        ],
+    )
+    def test_matches_fast_path_two_layers(self, rows, xi):
+        # g >= 2 matches frequency residues and wrap signs on every axis, with
+        # nonzero a and b on each; for the far xi the heights y + K^-1 a of
+        # every node lie outside [-1/2, 1/2]^g before the rule moves them
+        K = validate_wen_matrix(rows)
         tau = TorusParams(0.3 + 1.1j)
-        xi = (0.15 + 0.1j, -0.2 + 0.25j)  # nonzero a and b on both axes
         report = gram_center(K, xi, tau)
         p = rule_points(report, K)
         fns = [center_fn(K, xi, tau, c) for c in pi_group(K).elements]
-        for i in range(3):
-            for j in range(3):
+        for i in range(len(fns)):
+            for j in range(len(fns)):
                 direct = inner_product_center(K, xi, tau, fns[i], fns[j], p)
                 assert abs(direct - report.matrix[i, j]) < 1e-12
 
-    @pytest.mark.parametrize("rows,p", [([[3]], 4), ([[3, 2], [2, 3]], 3)])
-    def test_matches_fast_path_unconverged(self, rows, p):
+    @pytest.mark.parametrize(
+        "rows,p,xi",
+        [
+            pytest.param([[3]], 4, (0.15 + 0.1j,), id="rows0-4"),
+            pytest.param(README_K, 3, (0.15 + 0.1j, -0.2 + 0.25j), id="rows1-3"),
+            pytest.param(README_K, 3, (0.1 + 0.9j, -0.3 + 0.7j), id="readme-3"),
+            pytest.param(README_K, 3, XI_FAR[2], id="readme-far-3"),
+            pytest.param([[3, 2, 2], [2, 3, 2], [2, 2, 3]], 3, XI_FAR[3], id="g3-far-3"),
+        ],
+    )
+    def test_matches_fast_path_unconverged(self, rows, p, xi):
         # far below the rule's p the aliased pairs are large, so their residue
         # match and wrap sign must agree with the full grid
         from torushall.gram import _center_terms, _gram_center_at
 
         K = validate_wen_matrix(rows)
-        xi = (0.15 + 0.1j, -0.2 + 0.25j)[: K.g]
         cs = pi_group(K).elements
         fast = _gram_center_at(K, xi, TAU, cs, _center_terms(K, xi, TAU, cs, 1e-12), p)
         assert np.max(np.abs(fast - gram_center(K, xi, TAU).matrix)) > 1e-4 * abs(fast[0, 0])
@@ -352,7 +376,24 @@ class TestGramCenter:
         K = validate_wen_matrix([[3, 2], [2, 3]])
         cs = pi_group(K).elements
         terms = gram._center_terms(K, (0.1 + 0.2j, 0j), TorusParams(1j), cs, 1e-12)
-        assert max(m.shape[0] for m, _ in terms.values()) <= 50
+        assert max(m.shape[0] for m, _ in terms) <= 50
+
+    def test_one_window_shared_with_center_basis(self):
+        # one window serves every coset of the Gram, and the center basis of
+        # the same K, tau, cosets and tol then reads it from the cache
+        from torushall.theta import _window
+        from torushall.wavefunctions import center_basis_values
+
+        K = validate_wen_matrix(README_K)
+        xi, tp = (0.1 + 0.2j, 0j), TorusParams(1j)
+        _window.cache_clear()
+        gram_center(K, xi, tp, tol=1e-12)
+        info = _window.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+        spec = WaveFunctionSpec(datum=validate_wen_datum(K, (1, 1)), xi=xi, torus=tp)
+        center_basis_values(spec, pi_group(K).elements, np.zeros((4, 2)), 1e-12)
+        info = _window.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_aliasing_bound_small(self):
         K = validate_wen_matrix([[2]])
@@ -513,6 +554,13 @@ class TestGramManybody:
         gram_manybody(spec, QuadratureSpec(scheme="qmc", samples=1 << 10, replicates=16))
         info = _window.cache_info()
         assert (info.misses, info.hits) == (2, 30)
+
+    @pytest.mark.parametrize("replicates", [1, 0, -3])
+    def test_rejects_fewer_than_two_replicates(self, replicates):
+        # the replicate standard error divides by replicates - 1: one replicate
+        # would give a NaN stderr and a NaN sigma verdict
+        with pytest.raises(ValueError, match="replicate standard error"):
+            QuadratureSpec(scheme="qmc", samples=1 << 10, replicates=replicates)
 
     def test_auto_picks_trapezoid_for_small_dim(self):
         K = validate_wen_matrix([[1]])

@@ -20,7 +20,6 @@ from torushall.theta import (
     _window,
     jacobi_theta,
     jacobi_theta_batch,
-    lattice_terms,
     riemann_theta,
     riemann_theta_batch,
     theta_odd_batch,
@@ -254,8 +253,8 @@ class TestTruncationPlan:
     def _halfwidths(om, tol):
         # the shell-tail halfwidth the window is built from, and the window's
         # own reach from the peak of a = 0 after the ellipsoid cut
-        ks, _expo = lattice_terms(om, (0.0,) * om.g, np.zeros(om.g), tol)
-        reach = int(max(-ks[0].min(), ks[-1].max()))
+        win = _window(om, ((0.0,) * om.g,), tol)
+        reach = max(-min(win.lo), max(lo + n - 1 for lo, n in zip(win.lo, win.counts)))
         return _tail_halfwidth(om.lambda_min, om.g, tol / 2) + 1, reach
 
     def test_radius_scale(self):
