@@ -308,11 +308,13 @@ def cmd_verify_all(args) -> int:
     return _finish_checks(args, "verify-all", records)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
+def _int_from(low: int, what: str):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is not a {what} integer")
+        return value
+    return integer
 
 
 def _finite(text: str) -> float:
@@ -326,9 +328,9 @@ FLAGS = {
     "input": dict(required=True, help="input document (JSON or matrix text)"),
     "tol": dict(type=_finite, default=gram.DEFAULT_TOL, help="series tolerance (at least 1e-14)"),
     "samples": dict(
-        type=_positive_int, default=gram.QuadratureSpec.samples, help="QMC sample total"
+        type=_int_from(1, "positive"), default=gram.QuadratureSpec.samples, help="QMC sample total"
     ),
-    "seed": dict(type=int, default=0, help="random seed"),
+    "seed": dict(type=_int_from(0, "non-negative"), default=0, help="random seed"),
 }
 
 

@@ -46,12 +46,13 @@ has, in every coordinate, the Fourier coefficients that the center bound
 counts with K = d I_n.  Its p is therefore the center rule's at the form
 d I_n, coprime to the flux number d (for p a multiple of d the grid is
 invariant under the magnetic translations).  More than two particles are
-sampled instead, by replicated scrambled Sobol points with replicate-mean
-standard errors.
+sampled instead, by scipy 1.17's scrambled Sobol' replicates for the seed's
+SeedSequence children, drawn in numpy (``_sobol_points``), with their errors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -69,6 +70,7 @@ from .wen import PiElement, WenMatrix, pi_group
 DEFAULT_TOL = 1e-12
 DEFAULT_BUDGET = 1 << 26
 SCHEMES = ("auto", "trapezoid", "qmc")
+_TOP = np.arange(29, -1, -1, dtype=np.uint32)  # shift of bit k, from the top, of a Sobol' word
 
 
 class SamplingBudgetExceededError(RuntimeError):
@@ -81,9 +83,9 @@ class QuadratureSpec:
 
     scheme 'auto' picks the trapezoid rule for up to two particles and QMC
     for more.  The trapezoid rule sizes itself by the center Gram's
-    a-priori bound; the other fields are read by QMC only, whose sample
-    total is split into ``replicates`` independently scrambled streams
-    whose spread gives the standard error.
+    a-priori bound; the other fields are read by QMC only, whose sample total
+    is split into ``replicates`` streams, scipy's scrambled Sobol' points for
+    the children of SeedSequence(seed), whose spread gives the standard error.
     """
 
     scheme: str = "auto"
@@ -98,6 +100,8 @@ class QuadratureSpec:
             raise ValueError("quadrature sizes must be positive")
         if self.replicates < 2:
             raise ValueError("the replicate standard error needs at least 2 replicates")
+        if self.seed < 0:
+            raise ValueError(f"the QMC seed must be non-negative, not {self.seed}")
 
 
 @dataclass
@@ -177,6 +181,33 @@ def midpoint_nodes(p: int) -> np.ndarray:
 def _tensor_grid(nodes: np.ndarray, g: int) -> np.ndarray:
     grids = np.meshgrid(*([nodes] * g), indexing="ij")
     return np.stack([gr.ravel() for gr in grids], axis=-1)
+
+
+@functools.cache
+def _sobol_columns(d: int, m: int) -> np.ndarray:
+    """Bits [i, k, j], top first, of Sobol' column j: 2^30 times unscrambled point 2^(j+1) - 1."""
+    cols = qmc.Sobol(d, scramble=False).random_base2(m)[(2 << np.arange(m)) - 1]
+    bits = (cols.T[:, None, :] * 2.0**30).astype(np.uint32) >> _TOP[:, None] & 1
+    bits.setflags(write=False)
+    return bits
+
+
+def _sobol_points(seq: np.random.SeedSequence, d: int, m: int) -> np.ndarray:
+    """qmc.Sobol(d, scramble=True, seed=np.random.default_rng(seq)).random_base2(m), in numpy.
+
+    As in scipy 1.17, a new child of seq draws a 30-bit shift (point 0), then per
+    dimension the lower-triangular bit matrix L, unit diagonal, of Matousek's linear
+    matrix scramble.  Point 2^j + k is point 2^j - 1 - k XOR L v_j, for column v_j
+    of the generator, top bit first: L v_j mod 2 is the XOR of L's columns at its bits.
+    """
+    rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
+    pts = np.empty((1 << m, d), dtype=np.uint32)
+    pts[0] = rng.integers(0, 2, (d, 30), np.uint32) @ (1 << np.arange(30, dtype=np.uint32))
+    ltm = np.tril(rng.integers(0, 2, (d, 30, 30), np.uint32), -1) + np.eye(30, dtype=np.uint32)
+    cols = np.bitwise_xor.reduce(((1 << _TOP) @ ltm)[:, :, None] * _sobol_columns(d, m), axis=1)
+    for j in range(m):
+        np.bitwise_xor(pts[(1 << j) - 1 :: -1], cols[:, j], out=pts[1 << j : 2 << j])
+    return pts * 2.0**-30
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +498,10 @@ def gram_manybody(
     ``_rule_points`` at the form d I_n and the modulus d, as the center
     Gram's come from K and delta; it is formed once, on the p^{2n} grid,
     held to DEFAULT_BUDGET first.  'qmc' averages ``quad.replicates``
-    scrambled Sobol streams of a power-of-two size, about ``quad.samples``
-    points in all, with replicate-mean standard errors and sigmas.  The
-    verdict ``scalar_pass`` comes from the records of :mod:`torushall.checks`
-    and is set for primary matrices only.
+    scrambled Sobol streams (``_sobol_points``) of a power-of-two size, about
+    ``quad.samples`` points in all, with replicate-mean standard errors and
+    sigmas.  The verdict ``scalar_pass`` comes from the records of
+    :mod:`torushall.checks` and is set for primary matrices only.
     """
     quad = quad or QuadratureSpec()
     basis = rep_matrices(spec.datum).basis
@@ -484,17 +515,14 @@ def gram_manybody(
         report = _report(basis, p ** (2 * n), _gram_manybody_at(spec, basis, p, tol), bound)
     else:
         reps = quad.replicates
-        per_rep = 1 << max(1, math.ceil(math.log2(max(2, quad.samples // reps))))
-        if per_rep * reps > DEFAULT_BUDGET:
+        m = math.ceil(math.log2(max(2, quad.samples // reps)))  # 2^m points per replicate
+        if reps << m > DEFAULT_BUDGET:
             raise SamplingBudgetExceededError(
-                f"{per_rep} x {reps} QMC samples exceed budget {DEFAULT_BUDGET}"
+                f"{1 << m} x {reps} QMC samples exceed budget {DEFAULT_BUDGET}"
             )
-        stack = []
-        for seq in np.random.SeedSequence(quad.seed).spawn(reps):
-            sob = qmc.Sobol(d=2 * n, scramble=True, seed=np.random.default_rng(seq))
-            pts = sob.random_base2(int(math.log2(per_rep)))
-            stack.append(_weighted_sum(spec, pts, basis, tol) / pts.shape[0])
-        report = _report(basis, per_rep * reps, stack=np.stack(stack), seed=quad.seed)
+        seqs = np.random.SeedSequence(quad.seed).spawn(reps)
+        stack = [_weighted_sum(spec, _sobol_points(s, 2 * n, m), basis, tol) for s in seqs]
+        report = _report(basis, reps << m, stack=np.stack(stack) / (1 << m), seed=quad.seed)
     if spec.datum.matrix.primary:
         from .checks import gram_manybody_records, passed  # checks imports this module
 

@@ -166,6 +166,26 @@ class TestCli:
         assert captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            ["gram-manybody", "--scheme", "qmc", "--samples", "1024"],
+            ["verify-all"],
+            ["gram-center"],
+        ],
+        ids=["gram-manybody", "verify-all", "gram-center"],
+    )
+    def test_negative_seed_exit_two(self, command, tmp_path, capsys):
+        # refused by the flag, never passed on to numpy's SeedSequence (a
+        # traceback with exit 1, the status of a FAIL) or ignored
+        path = tmp_path / "k3.json"
+        path.write_text(json.dumps({"K": [[3]], "n": [3]}))
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--input", str(path), "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--seed: -1 is not a non-negative integer" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
         "argv,document,config",
         [
             (["verify-all"], {"K": [[3]], "tau": [0, math.inf]}, None),

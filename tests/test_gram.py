@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from conftest import coset_index, pi_add, u_class
 from torushall.gram import (
@@ -12,6 +13,9 @@ from torushall.gram import (
     QuadratureSpec,
     SamplingBudgetExceededError,
     _log_height_weight,
+    _report,
+    _sobol_points,
+    _weighted_sum,
     gram_center,
     gram_manybody,
     kappa_closed_form,
@@ -57,6 +61,13 @@ def weight(kmat, xi, z, tau=TAU):
     """The metric weight exp(-2 pi t (y'K y + 2 a.y)) at an (..., g) array of points z."""
     y = np.asarray(z, dtype=complex).imag / tau.t
     return np.exp(_log_height_weight(kmat, xi, tau, y))
+
+
+def _laughlin_three():
+    """K = [[3]] with three particles at tau = i: the smallest QMC Gram."""
+    return WaveFunctionSpec(
+        datum=validate_wen_datum(validate_wen_matrix([[3]]), (3,)), xi=(0j,), torus=TorusParams(1j)
+    )
 
 
 def inner_product_center(K, xi, tau, f1, f2, p):
@@ -561,6 +572,56 @@ class TestGramManybody:
         # would give a NaN stderr and a NaN sigma verdict
         with pytest.raises(ValueError, match="replicate standard error"):
             QuadratureSpec(scheme="qmc", samples=1 << 10, replicates=replicates)
+
+    def test_rejects_negative_seed(self):
+        # numpy's SeedSequence refuses it only once the first stream is drawn
+        with pytest.raises(ValueError, match="seed must be non-negative, not -1"):
+            QuadratureSpec(scheme="qmc", samples=1 << 10, seed=-1)
+
+    @pytest.mark.parametrize("d,m", list(itertools.product((2, 4, 16), (1, 2, 9, 16))))
+    def test_sobol_points_match_scipy(self, d, m):
+        # the same random bits as scipy, drawn in the same order: a shift drawn
+        # after the scramble matrices, or a scramble without its unit diagonal,
+        # gives other points.  scipy spawns from the seed sequence it is given,
+        # so each side gets its own copy of the children.
+        for seed in (0, 808):
+            ours = np.random.SeedSequence(seed).spawn(16)
+            for seq, mine in zip(np.random.SeedSequence(seed).spawn(16), ours):
+                sob = qmc.Sobol(d, scramble=True, seed=np.random.default_rng(seq))
+                pts = _sobol_points(mine, d, m)
+                assert pts.dtype == np.float64 and pts.flags.c_contiguous
+                assert np.array_equal(pts, sob.random_base2(m))
+
+    def test_qmc_gram_matches_scipy_streams(self):
+        # the Gram of scipy's own scrambled replicates, reduced by the same code
+        spec = _laughlin_three()
+        basis = rep_matrices(spec.datum).basis
+        stack = []
+        for seq in np.random.SeedSequence(7).spawn(16):
+            sob = qmc.Sobol(d=6, scramble=True, seed=np.random.default_rng(seq))
+            pts = sob.random_base2(8)
+            stack.append(_weighted_sum(spec, pts, basis, 1e-12) / pts.shape[0])
+        ref = _report(basis, 1 << 12, stack=np.stack(stack), seed=7)
+        report = gram_manybody(spec, QuadratureSpec(scheme="qmc", samples=1 << 12, seed=7))
+        assert report.matrix.tobytes() == ref.matrix.tobytes()
+        assert report.stderr.tobytes() == ref.stderr.tobytes()
+
+    def test_qmc_builds_no_scrambled_sobol(self, monkeypatch):
+        # the generator columns still come from scipy's unscrambled engine
+        from torushall import gram
+
+        real = qmc.Sobol
+
+        def unscrambled(d, *, scramble=True, **kwargs):
+            if scramble:
+                raise AssertionError("built a scrambled scipy Sobol engine")
+            return real(d, scramble=False, **kwargs)
+
+        monkeypatch.setattr(gram.qmc, "Sobol", unscrambled)
+        report = gram_manybody(
+            _laughlin_three(), QuadratureSpec(scheme="qmc", samples=1 << 10, seed=7)
+        )
+        assert report.scheme == "qmc" and np.all(np.isfinite(report.matrix))
 
     def test_auto_picks_trapezoid_for_small_dim(self):
         K = validate_wen_matrix([[1]])
